@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotInImage
 from .exactnum import format_rational
@@ -377,15 +378,8 @@ def _h_from_f(lat: FaceLattice) -> tuple:
         fi = fv[i + 1]
         for j in range(i + 1):
             sign = -1 if (i - j) % 2 else 1
-            h[j] += fi * sign * _binom(i, j)
+            h[j] += fi * sign * comb(i, j)
     return tuple(h)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

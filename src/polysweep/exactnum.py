@@ -17,11 +17,6 @@ Rational = Fraction
 QVector = tuple  # tuple[Fraction, ...]
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings like "3" or "-1/2"."""
-    return Fraction(x)
-
-
 def vec(*entries) -> QVector:
     return tuple(Fraction(e) for e in entries)
 
@@ -37,15 +32,15 @@ def dot(a: QVector, b: QVector) -> Fraction:
 
 
 def vsub(a: QVector, b: QVector) -> QVector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vadd(a: QVector, b: QVector) -> QVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a: QVector) -> QVector:
-    c = Fraction(c)
+    """c * a, with no coercion: an integer vector times an int stays integer."""
     return tuple(c * x for x in a)
 
 

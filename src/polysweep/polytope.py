@@ -390,10 +390,21 @@ def vrep_to_json(v: VRep) -> dict:
     }
 
 
+def _json_coordinate(x) -> Fraction:
+    """An int or a rational string.  A JSON float is refused: its binary
+    value is rarely the number written (0.1 is not 1/10)."""
+    if type(x) is int or isinstance(x, str):
+        return parse_rational(x)
+    raise TypeError(
+        f"coordinate {x!r} is not an integer or a rational string; "
+        f'quote it as an exact rational, e.g. "1/10"'
+    )
+
+
 def vrep_from_json(obj: dict) -> VRep:
     return VRep(
         int(obj["dim"]),
-        tuple(vec_from(parse_rational(x) for x in p) for p in obj["vertices"]),
+        tuple(vec_from(_json_coordinate(x) for x in p) for p in obj["vertices"]),
     )
 
 

@@ -1,5 +1,5 @@
 """Hyperplane sweeps: generic directions, vertex figures, sections, and
-the two sweep recursions for the cd-index.
+the sweep recursion shared by the cd-index and toric h-vector routes.
 
 A sweep orders the vertices by an exact linear functional.  At each
 vertex v the machinery builds
@@ -17,10 +17,12 @@ is decided by vertex heights and edge slopes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import CrossCheckError, NotGeneric, NotSimple
+from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
 from .exactnum import (
     QVector,
     dot,
@@ -77,6 +79,10 @@ def choose_direction(p0, v: VRep) -> SweepDirection:
     """Accept p0 if it separates all vertex heights, else walk the
     deterministic ladder p = (1, t, t^2, ...) for t = 2, 3, ..."""
     if p0 is not None:
+        if len(p0) != v.dim:
+            raise InputError(
+                f"direction has {len(p0)} entries, the polytope has dimension {v.dim}"
+            )
         p0 = tuple(Fraction(x) for x in p0)
         heights = tuple(dot(p0, x) for x in v.vertices)
         if len(set(heights)) != len(heights):
@@ -113,7 +119,10 @@ def _slopes_for(lat, s, vi, a) -> dict:
     for e in _edges_at(lat, vi):
         wi = _other_endpoint(lat, e, vi)
         den = dot(a, vsub(pts[vi], pts[wi]))
-        assert den > 0
+        if den <= 0:
+            raise CrossCheckError(
+                f"functional {a} does not strictly support vertex {vi}"
+            )
         out[e] = (s.heights[wi] - s.heights[vi]) / den
     return out
 
@@ -134,7 +143,10 @@ def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNorma
             for k in range(d)
         )
         av = dot(a, pts[vi])
-        assert all(dot(a, pts[w]) < av for w in range(len(pts)) if w != vi)
+        if any(dot(a, pts[w]) >= av for w in range(len(pts)) if w != vi):
+            raise CrossCheckError(
+                f"summed facet normal {a} does not strictly support vertex {vi}"
+            )
         slopes = _slopes_for(lat, s, vi, a)
         if len(set(slopes.values())) == len(slopes):
             return SupportNormal(vi, a)
@@ -161,7 +173,8 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     containing v, with dimension dropped by one.
     """
     d = lat.dim
-    assert d >= 1
+    if d < 1:
+        raise ValueError("a vertex figure needs dimension at least 1")
     pts = lat.coords.vertices
     n = support_normal(lat, s, vi)
     slopes = _slopes_for(lat, s, vi, n.a)
@@ -212,7 +225,8 @@ def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
     Equivalently: where the corresponding face of the truncated vertex
     figure sits relative to the sweep hyperplane through v.
     """
-    assert lat.masks[fi] >> vi & 1 and lat.dims[fi] >= 1
+    if not (lat.masks[fi] >> vi & 1 and lat.dims[fi] >= 1):
+        raise ValueError(f"face {fi} is not a face of dimension >= 1 at vertex {vi}")
     hs = [s.heights[w] for w in lat.vertices_of(fi)]
     hv = s.heights[vi]
     if hv == min(hs):
@@ -239,7 +253,8 @@ def sweep_section(
     two.
     """
     d = lat.dim
-    assert d >= 2
+    if d < 2:
+        raise ValueError("a section needs dimension at least 2")
     if is_extreme(lat, s, vi):
         return None
     if qv is None:
@@ -300,87 +315,123 @@ def map_chain(sub: SubPolytope, chain: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The two sweep formulas for the cd-index.
+# The sweep recursion, written once over an algebra of accumulated values.
+
+
+@dataclass(frozen=True)
+class SweepAlgebra:
+    """The values a sweep accumulates (cd-words, or toric h-vectors under
+    the c/d operators) and the only operations the recursion uses.
+    Fields calling into another module are lambdas, so that a wrapper on
+    the module attribute, such as the benchmark's tracer, sees the call."""
+
+    zero: Callable  # dimension -> the zero value
+    one: object  # the value of a point
+    add: Callable
+    scale: Callable  # (rational, value) -> value
+    c: Callable  # attach the letter c
+    d: Callable  # attach the letter d
+    value: Callable  # FaceLattice -> its value, computed without sweeping
+    integral: Callable  # value -> bool
+
+
+def sweep_recursive(
+    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, deep: bool = False
+) -> tuple[dict, object]:
+    """Per-vertex contributions and their sum.
+
+    The contribution at v is d times the section's value plus c times
+    the recursive per-vertex parts of the vertex figure, summed over its
+    sub-vertices with positive slope; the last vertex swept contributes
+    zero.  The section's value is computed directly; with deep=True it
+    is recomputed by a recursive sweep under a fresh direction and the
+    two must agree.
+    """
+    d = lat.dim
+    if d == 0:
+        return {0: alg.one}, alg.one
+    per = {}
+    top = max(range(lat.n_vertices), key=lambda i: s.heights[i])
+    for vi in range(lat.n_vertices):
+        term = alg.zero(d)
+        if vi == top:
+            per[vi] = term
+            continue
+        qv = vertex_figure(lat, s, vi)
+        sub_per, _ = sweep_recursive(alg, qv.lattice, qv.direction, deep)
+        for j in range(qv.lattice.n_vertices):
+            if qv.slopes[j] > 0:
+                term = alg.add(term, alg.c(sub_per[j]))
+        rv = sweep_section(lat, s, vi, qv) if d >= 2 else None
+        if rv is not None:
+            val_r = alg.value(rv.lattice)
+            if deep:
+                fresh = choose_direction(None, rv.lattice.coords)
+                _, swept = sweep_recursive(alg, rv.lattice, fresh, True)
+                if swept != val_r:
+                    raise CrossCheckError(
+                        f"section value mismatch at vertex {vi}: "
+                        f"sweep {swept} vs direct {val_r}"
+                    )
+            term = alg.add(term, alg.d(val_r))
+        per[vi] = term
+    return per, reduce(alg.add, per.values(), alg.zero(d))
+
+
+def sweep_symmetric(
+    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection
+) -> tuple[dict, object]:
+    """Direction-averaged form: with Q the vertex figure and R the
+    section, each vertex contributes (c V(Q) + (2d - c^2) V(R)) / 2,
+    both values computed directly.  Per-vertex parts may be
+    half-integral; the total must be integral."""
+    d = lat.dim
+    if d == 0:
+        return {0: alg.one}, alg.one
+    per = {}
+    for vi in range(lat.n_vertices):
+        qv = vertex_figure(lat, s, vi)
+        term = alg.c(alg.value(qv.lattice))
+        rv = sweep_section(lat, s, vi, qv) if d >= 2 else None
+        if rv is not None:
+            val_r = alg.value(rv.lattice)
+            term = alg.add(term, alg.scale(2, alg.d(val_r)))
+            term = alg.add(term, alg.scale(-1, alg.c(alg.c(val_r))))
+        per[vi] = alg.scale(Fraction(1, 2), term)
+    total = reduce(alg.add, per.values(), alg.zero(d))
+    if not alg.integral(total):
+        raise CrossCheckError(f"symmetric sweep total is not integral: {total}")
+    return per, total
+
+
+_C, _D = CDPolynomial.word("c"), CDPolynomial.word("d")
+
+CD_ALGEBRA = SweepAlgebra(
+    zero=lambda d: CDPolynomial.zero(),
+    one=CDPolynomial.one(),
+    add=lambda a, b: a + b,
+    scale=lambda q, phi: phi * q,
+    c=lambda phi: _C * phi,
+    d=lambda phi: _D * phi,
+    value=lambda lat: cd_index(lat),
+    integral=CDPolynomial.is_integral,
+)
 
 
 def cd_sweep(
     lat: FaceLattice, s: SweepDirection, deep: bool = False
 ) -> tuple[dict, CDPolynomial]:
-    """Per-vertex cd-index contributions and their sum.
-
-    The contribution at v is d times the section's cd-index plus c times
-    the recursive per-vertex parts of the vertex figure, summed over its
-    sub-vertices with positive slope; the last vertex swept contributes
-    zero.  The section's cd-index comes from the flag route; with
-    deep=True it is recomputed by a recursive sweep under a fresh
-    direction and the two must agree.
-    """
-    d = lat.dim
-    if d == 0:
-        return {0: CDPolynomial.one()}, CDPolynomial.one()
-    c = CDPolynomial.word("c")
-    dw = CDPolynomial.word("d")
-    per: dict[int, CDPolynomial] = {}
-    top = max(range(lat.n_vertices), key=lambda i: s.heights[i])
-    for vi in range(lat.n_vertices):
-        if vi == top:
-            per[vi] = CDPolynomial.zero()
-            continue
-        qv = vertex_figure(lat, s, vi)
-        sub_per, _ = cd_sweep(qv.lattice, qv.direction, deep=deep)
-        term = CDPolynomial.zero()
-        for j in range(qv.lattice.n_vertices):
-            if qv.slopes[j] > 0:
-                term = term + c * sub_per[j]
-        if d >= 2:
-            rv = sweep_section(lat, s, vi, qv)
-            if rv is not None:
-                phi_r = cd_index(rv.lattice)
-                if deep:
-                    fresh = choose_direction(None, rv.lattice.coords)
-                    _, swept = cd_sweep(rv.lattice, fresh, deep=True)
-                    if swept != phi_r:
-                        raise CrossCheckError(
-                            f"section cd-index mismatch at vertex {vi}: "
-                            f"sweep {swept} vs flag {phi_r}"
-                        )
-                term = term + dw * phi_r
-        per[vi] = term
-    total = CDPolynomial.zero()
-    for t in per.values():
-        total = total + t
-    return per, total
+    """Per-vertex cd-index contributions and their sum, by the recursive
+    sweep; section cd-indices come from the flag route."""
+    return sweep_recursive(CD_ALGEBRA, lat, s, deep)
 
 
 def cd_sweep_symmetric(
     lat: FaceLattice, s: SweepDirection
 ) -> tuple[dict, CDPolynomial]:
-    """Direction-averaged form: with Q the vertex figure and R the
-    section, each vertex contributes (c Phi(Q) + (2d - c^2) Phi(R)) / 2,
-    both cd-indices by the flag route.  Per-vertex parts may be
-    half-integral; the total must be integral."""
-    d = lat.dim
-    if d == 0:
-        return {0: CDPolynomial.one()}, CDPolynomial.one()
-    half = Fraction(1, 2)
-    c = CDPolynomial.word("c")
-    dw = CDPolynomial.word("d")
-    per: dict[int, CDPolynomial] = {}
-    for vi in range(lat.n_vertices):
-        qv = vertex_figure(lat, s, vi)
-        term = (c * cd_index(qv.lattice)) * half
-        if d >= 2:
-            rv = sweep_section(lat, s, vi, qv)
-            if rv is not None:
-                phi_r = cd_index(rv.lattice)
-                term = term + ((dw * 2 - c * c) * phi_r) * half
-        per[vi] = term
-    total = CDPolynomial.zero()
-    for t in per.values():
-        total = total + t
-    if not total.is_integral():
-        raise CrossCheckError(f"symmetric sweep total is not integral: {total}")
-    return per, total
+    """Per-vertex cd-index contributions and their sum, by the
+    direction-averaged sweep."""
+    return sweep_symmetric(CD_ALGEBRA, lat, s)
 
 
 # ---------------------------------------------------------------------------

@@ -12,39 +12,21 @@ about final results only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import CrossCheckError, NotInImage
-from .flagvec import CDPolynomial, cd_index, cd_words, reverse_words
+from .exactnum import vadd, vscale, vsub
+from .flagvec import CDPolynomial, _norm_coeff, cd_index, cd_words, reverse_words
 from .polytope import FaceLattice
-from .sweep import SweepDirection, sweep_section, vertex_figure
-
-
-def _norm(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+from .sweep import SweepAlgebra, SweepDirection, sweep_recursive, sweep_symmetric
 
 
 def normalize_vec(h) -> tuple:
-    return tuple(_norm(x) for x in h)
+    return tuple(_norm_coeff(x) for x in h)
 
 
 def zeros(n: int) -> tuple:
     return (0,) * n
-
-
-def vec_add(a, b) -> tuple:
-    assert len(a) == len(b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b) -> tuple:
-    assert len(a) == len(b)
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a) -> tuple:
-    return tuple(c * x for x in a)
 
 
 def g_from_h(h) -> tuple:
@@ -96,8 +78,9 @@ def toric_from_cd(phi: CDPolynomial, degree: int | None = None) -> tuple:
         degree = phi.homogeneous_degree()
     total = zeros(degree + 1)
     for w, c in phi.terms.items():
-        assert CDPolynomial.word_degree(w) == degree
-        total = vec_add(total, vec_scale(c, act_word((1,), w)))
+        if CDPolynomial.word_degree(w) != degree:
+            raise ValueError(f"word {w!r} does not have degree {degree}")
+        total = vadd(total, vscale(c, act_word((1,), w)))
     return normalize_vec(total)
 
 
@@ -119,13 +102,6 @@ def _polymul(a: list, b: list) -> list:
     return out
 
 
-def _x_minus_1_pow(m: int) -> list:
-    out = [1]
-    for _ in range(m):
-        out = _polymul(out, [-1, 1])
-    return out
-
-
 def toric_h_definition(l: FaceLattice) -> tuple:
     """h(boundary of P) by the recursion
     h = sum over proper faces G of g(boundary of G) * (x-1)^(d-1-dim G),
@@ -141,7 +117,9 @@ def toric_h_definition(l: FaceLattice) -> tuple:
         for gj in order:
             if gj == fi or not l.contains(gj, fi):
                 continue
-            term = _polymul(g_cache[l.masks[gj]], _x_minus_1_pow(k - 1 - l.dims[gj]))
+            m = k - 1 - l.dims[gj]
+            x_minus_1_pow = [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)]
+            term = _polymul(g_cache[l.masks[gj]], x_minus_1_pow)
             for i, x in enumerate(term):
                 coeffs[i] += x
         h = tuple(coeffs[k - i] for i in range(k + 1))
@@ -149,71 +127,39 @@ def toric_h_definition(l: FaceLattice) -> tuple:
             h_full = h
         g = g_from_h(h)
         g_cache[l.masks[fi]] = list(g)
-    assert h_full is not None
+    if h_full is None:
+        raise CrossCheckError("the lattice has no top face")
     return normalize_vec(h_full)
 
 
 # ---------------------------------------------------------------------------
 # Sweep routes.  Sweeping P accumulates the toric h-vector of the dual
-# of P, mirroring the cd-index sweep with words replaced by operators.
+# of P: the cd-index sweep with words replaced by the c/d operators.
+
+TORIC_ALGEBRA = SweepAlgebra(
+    zero=lambda d: zeros(d + 1),
+    one=(1,),
+    add=lambda a, b: normalize_vec(vadd(a, b)),
+    scale=lambda q, h: normalize_vec(vscale(q, h)),
+    c=lambda h: op_c(h),
+    d=lambda h: op_d(h),
+    value=lambda l: toric_dual_h(l),
+    integral=lambda h: not any(isinstance(x, Fraction) for x in h),
+)
 
 
 def toric_sweep(lat: FaceLattice, s: SweepDirection) -> tuple[dict, tuple]:
     """Per-vertex contributions to h(boundary of P dual) and their sum:
     op_d of the section's dual h plus op_c of the recursive per-vertex
     parts of the vertex figure over its upward sub-vertices."""
-    d = lat.dim
-    if d == 0:
-        return {0: (1,)}, (1,)
-    per: dict[int, tuple] = {}
-    top = max(range(lat.n_vertices), key=lambda i: s.heights[i])
-    for vi in range(lat.n_vertices):
-        if vi == top:
-            per[vi] = zeros(d + 1)
-            continue
-        qv = vertex_figure(lat, s, vi)
-        sub_per, _ = toric_sweep(qv.lattice, qv.direction)
-        acc = zeros(d + 1)
-        for j in range(qv.lattice.n_vertices):
-            if qv.slopes[j] > 0:
-                acc = vec_add(acc, op_c(sub_per[j]))
-        if d >= 2:
-            rv = sweep_section(lat, s, vi, qv)
-            if rv is not None:
-                acc = vec_add(acc, op_d(toric_dual_h(rv.lattice)))
-        per[vi] = acc
-    total = zeros(d + 1)
-    for t in per.values():
-        total = vec_add(total, t)
-    return per, normalize_vec(total)
+    return sweep_recursive(TORIC_ALGEBRA, lat, s)
 
 
 def toric_sweep_symmetric(lat: FaceLattice, s: SweepDirection) -> tuple[dict, tuple]:
     """Direction-averaged form: each vertex contributes
     (h(dQ*)c + h(dR*)(2d - c^2)) / 2.  Entries may be half-integral per
     vertex; the total must be integral."""
-    d = lat.dim
-    if d == 0:
-        return {0: (1,)}, (1,)
-    half = Fraction(1, 2)
-    per: dict[int, tuple] = {}
-    for vi in range(lat.n_vertices):
-        qv = vertex_figure(lat, s, vi)
-        acc = op_c(toric_dual_h(qv.lattice))
-        if d >= 2:
-            rv = sweep_section(lat, s, vi, qv)
-            if rv is not None:
-                hr = toric_dual_h(rv.lattice)
-                acc = vec_add(acc, vec_scale(2, op_d(hr)))
-                acc = vec_sub(acc, op_c(op_c(hr)))
-        per[vi] = normalize_vec(half * x for x in acc)
-    total = zeros(d + 1)
-    for t in per.values():
-        total = vec_add(total, t)
-    total = normalize_vec(total)
-    if any(isinstance(x, Fraction) for x in total):
-        raise CrossCheckError(f"symmetric toric total is not integral: {total}")
-    return per, total
+    return sweep_symmetric(TORIC_ALGEBRA, lat, s)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +241,7 @@ def reconstruct_cd(hhat: dict, degree: int) -> CDPolynomial:
                 # h^{dw'} starts with d, so it is given (zero if absent
                 # or if its degree would exceed the total degree)
                 hd = given.get("d" + rest, zeros(degree - k))
-                table[w] = invert_c(vec_sub(table[rest], op_d(hd)))
+                table[w] = invert_c(vsub(table[rest], op_d(hd)))
     terms = {}
     for w in cd_words(degree):
         (coeff,) = table[w]

@@ -126,7 +126,8 @@ def _top_bottom(l, s, ctx: _Context, chain: Chain, want_top: bool) -> Chain:
         return (l.index[1 << v],) + chain
     vi = l.vertices_of(chain[0])[0]
     rest = chain[1:]
-    assert not rest or l.dims[rest[0]] >= 2, "label 1 already present"
+    if rest and l.dims[rest[0]] < 2:
+        raise CrossCheckError(f"chain {chain} already has a face of dimension 1")
     f2 = rest[0] if rest else full
     edges = [
         e for e in l.faces_at_vertex(vi, 1) if l.contains(e, f2)

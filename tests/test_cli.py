@@ -113,6 +113,31 @@ def test_bad_direction_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "cdindex --method sweep",
+        "cdindex --method symmetric",
+        "toric --method sweep",
+        "partition",
+        "verify",
+    ],
+)
+def test_short_direction_exit_2(capsys, command):
+    code = main(command.split() + ["--input", "cube:3", "--direction", "1,2"])
+    assert code == 2
+    assert "direction has 2 entries" in capsys.readouterr().err
+
+
+def test_float_coordinate_exit_2(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text('{"dim": 2, "vertices": [[0.1, 0], [1, 0], [0, 1]]}')
+    assert main(["describe", "--input", str(path)]) == 2
+    assert '"1/10"' in capsys.readouterr().err
+    path.write_text('{"dim": 2, "vertices": [["0.1", 0], [1, 0], [0, 1]]}')
+    assert main(["describe", "--input", str(path)]) == 0
+
+
 def test_non_vertex_point_exit_2(tmp_path, capsys):
     from polysweep.polytope import VRep
     from polysweep.exactnum import vec

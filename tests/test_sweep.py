@@ -4,11 +4,12 @@ import pytest
 
 import polysweep as ps
 from conftest import default_direction, lat
-from polysweep.errors import NotGeneric, NotSimple
+from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from polysweep.flagvec import CDPolynomial, cd_index
 from polysweep.sweep import (
     MIDDLE,
     UPPER,
+    _slopes_for,
     cd_sweep,
     cd_sweep_symmetric,
     choose_direction,
@@ -133,6 +134,13 @@ def test_support_normal_strict_on_polygon():
         a = support_normal(l, s, vi).a
         av = ps.dot(a, pts[vi])
         assert all(ps.dot(a, pts[w]) < av for w in range(5) if w != vi)
+
+
+def test_slopes_reject_non_supporting_functional():
+    l, s = lat("cube:3"), default_direction("cube:3")
+    # vertex 0 is the origin; (1, 1, 1) is maximized at the far corner
+    with pytest.raises(CrossCheckError):
+        _slopes_for(l, s, 0, (F(1), F(1), F(1)))
 
 
 def test_vertex_figure_shapes():

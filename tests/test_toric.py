@@ -132,6 +132,11 @@ def test_toric_from_cd_cube_octahedron():
     assert toric_from_cd(CD({"ccc": 1, "cd": 6, "dc": 4})) == (1, 3, 3, 1)
 
 
+def test_toric_from_cd_rejects_wrong_degree():
+    with pytest.raises(ValueError):
+        toric_from_cd(CD({"cc": 1, "d": 3}), degree=3)
+
+
 def test_toric_definition_route():
     assert toric_h_definition(lat("polygon:5")) == (1, 3, 1)
     assert toric_h_definition(lat("cross:3")) == (1, 3, 3, 1)
