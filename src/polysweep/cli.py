@@ -18,15 +18,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
 
+from . import verify
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotInImage
 from .exactnum import format_rational
-from .flagvec import ab_index, cd_index, flag_f, flag_h, reverse_words
+from .flagvec import ab_index, cd_index, flag_f, flag_h
 from .polytope import (
     FaceLattice,
     VRep,
-    dual,
     hull_lattice,
     is_eulerian,
     lattice_to_json,
@@ -35,29 +34,21 @@ from .polytope import (
     make_cube,
     make_polygon,
     make_simplex,
-    polar_dual,
+    polar_lattice,
     prism,
     product,
     pyramid,
 )
-from .sweep import (
-    cd_sweep,
-    cd_sweep_symmetric,
-    choose_direction,
-    min_vertex_partition,
-    simple_h_by_outdegree,
-)
+from .sweep import cd_sweep, cd_sweep_symmetric, choose_direction
 from .toric import (
     extended_toric,
-    is_symmetric,
-    is_unimodal,
     reconstruct_cd,
     toric_from_cd,
     toric_h_definition,
     toric_sweep,
     toric_sweep_symmetric,
 )
-from .truncpartition import build_partition, enumerate_chains, verify_partition
+from .truncpartition import checked_partition
 
 SCHEMA = 1
 
@@ -124,6 +115,14 @@ def _sweep_order(s):
     return sorted(range(len(s.heights)), key=lambda i: s.heights[i])
 
 
+def _per_vertex(s, per: dict, name: str, fmt) -> list:
+    """Each vertex's part in sweep order, with the vertex's height."""
+    return [
+        {"vertex": vi, "height": format_rational(s.heights[vi]), name: fmt(per[vi])}
+        for vi in _sweep_order(s)
+    ]
+
+
 def _fmt_vec(h) -> list:
     return [str(x) if isinstance(x, Fraction) else x for x in h]
 
@@ -173,14 +172,7 @@ def cmd_cdindex(lat: FaceLattice, args) -> dict:
     return {
         "method": method,
         "cd": total.to_json(),
-        "per_vertex": [
-            {
-                "vertex": vi,
-                "height": format_rational(s.heights[vi]),
-                "cd": per[vi].to_json(),
-            }
-            for vi in _sweep_order(s)
-        ],
+        "per_vertex": _per_vertex(s, per, "cd", lambda phi: phi.to_json()),
     }
 
 
@@ -194,7 +186,7 @@ def cmd_toric(lat: FaceLattice, args) -> dict:
         raise InputError(f"toric has no method {method!r}")
     # sweeping a polytope accumulates the toric h-vector of its dual, so
     # sweep the polar dual to get the input's own vector
-    polar = hull_lattice(polar_dual(lat))
+    polar = polar_lattice(lat)
     s = choose_direction(args.direction, polar.coords)
     fn = toric_sweep if method == "sweep" else toric_sweep_symmetric
     per, total = fn(polar, s)
@@ -202,14 +194,7 @@ def cmd_toric(lat: FaceLattice, args) -> dict:
         "method": method,
         "toric": _fmt_vec(total),
         "swept": "polar-dual",
-        "per_vertex": [
-            {
-                "vertex": vi,
-                "height": format_rational(s.heights[vi]),
-                "toric": _fmt_vec(per[vi]),
-            }
-            for vi in _sweep_order(s)
-        ],
+        "per_vertex": _per_vertex(s, per, "toric", _fmt_vec),
     }
 
 
@@ -234,9 +219,7 @@ def cmd_partition(lat: FaceLattice, args) -> dict:
             f"raise --max-dim to override"
         )
     s = choose_direction(args.direction, lat.coords)
-    blocks = build_partition(lat, s)
-    chains = enumerate_chains(lat)
-    report = verify_partition(blocks, chains, lat)
+    blocks, chains, report = checked_partition(lat, s)
     if not report.ok:
         raise CrossCheckError("; ".join(report.failures))
     order = _sweep_order(s)
@@ -259,127 +242,11 @@ def cmd_partition(lat: FaceLattice, args) -> dict:
 
 
 def cmd_verify(lat: FaceLattice, args) -> dict:
-    checks = run_verification(lat, args.direction, args.max_dim, args.deep_sweep)
-    ok = all(passed for _, passed in checks)
-    if not ok:
-        failed = [name for name, passed in checks if not passed]
+    checks = verify.run_verification(lat, args.direction, args.max_dim, args.deep_sweep)
+    failed = [name for name, passed in checks if not passed]
+    if failed:
         raise CrossCheckError("failed checks: " + "; ".join(failed))
     return {"checks": [{"name": n, "pass": p} for n, p in checks]}
-
-
-def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> list:
-    """Every cross-method invariant on one polytope; returns
-    (name, passed) pairs but raises early on malformed input."""
-    checks: list[tuple[str, bool]] = []
-    d = lat.dim
-
-    checks.append(("lattice is Eulerian", is_eulerian(lat)))
-    f = flag_f(lat)
-    h = flag_h(f)
-    full = frozenset(range(d))
-    checks.append(
-        ("flag h symmetry h_S = h_Sc",
-         all(h.values[S] == h.values[full - S] for S in h.values))
-    )
-    phi = cd_index(lat)
-    checks.append(("cd coefficients nonnegative", phi.is_nonnegative()))
-    checks.append(("coefficient of c^d is 1", phi.coefficient("c" * d) == 1))
-    checks.append(
-        ("dual cd-index is the reversed cd-index",
-         cd_index(dual(lat)) == reverse_words(phi))
-    )
-
-    s1 = choose_direction(direction, lat.coords)
-    s2 = _second_direction(lat, s1)
-    for tag, s in (("primary", s1), ("alternate", s2)):
-        per, total = cd_sweep(lat, s, deep=deep)
-        checks.append((f"sweep total equals flag route ({tag})", total == phi))
-        if d >= 1:
-            last = max(range(lat.n_vertices), key=lambda i: s.heights[i])
-            checks.append(
-                (f"last vertex contributes zero ({tag})", per[last].is_zero())
-            )
-        checks.append(
-            (f"per-vertex parts nonnegative ({tag})",
-             all(p.is_nonnegative() for p in per.values()))
-        )
-        per_s, total_s = cd_sweep_symmetric(lat, s)
-        checks.append(
-            (f"symmetric sweep equals flag route ({tag})", total_s == phi)
-        )
-        checks.append(
-            (f"symmetric parts nonnegative half-integers ({tag})",
-             all(p.is_nonnegative() and (2 * p).is_integral() for p in per_s.values()))
-        )
-
-    h_def = toric_h_definition(lat)
-    h_cd = toric_from_cd(phi, degree=d)
-    checks.append(("toric definition equals cd route", h_def == h_cd))
-    per_t, h_dualsweep = toric_sweep(lat, s1)
-    checks.append(
-        ("toric sweep equals reversed-cd route of the dual",
-         h_dualsweep == toric_from_cd(reverse_words(phi), degree=d))
-    )
-    _, h_dualsym = toric_sweep_symmetric(lat, s1)
-    checks.append(("toric symmetric sweep equals toric sweep", h_dualsym == h_dualsweep))
-    if d >= 1:
-        polar = hull_lattice(polar_dual(lat))
-        sp = choose_direction(None, polar.coords)
-        _, via_polar = toric_sweep(polar, sp)
-        checks.append(("toric via polar sweep equals definition", via_polar == h_def))
-    checks.append(("toric h symmetric", is_symmetric(h_def)))
-    checks.append(("toric h starts at 1", h_def[0] == 1))
-    checks.append(("toric h unimodal", is_unimodal(h_def)))
-
-    ext = extended_toric(phi, degree=d)
-    checks.append(
-        ("extended vectors symmetric and nonnegative",
-         all(is_symmetric(v) and all(x >= 0 for x in v) for v in ext.values()))
-    )
-    checks.append(
-        ("extended toric reconstructs the cd-index",
-         reconstruct_cd(ext, d) == phi)
-    )
-
-    if 1 <= d <= max_dim:
-        blocks = build_partition(lat, s1)
-        report = verify_partition(blocks, enumerate_chains(lat), lat)
-        checks.append(("truncation partition verifies", report.ok))
-        checks.append(
-            ("number of blocks equals cd coefficient sum",
-             len(blocks) == sum(phi.terms.values()))
-        )
-
-    if lat.is_simple() and d >= 1:
-        hv = simple_h_by_outdegree(lat, s1)
-        checks.append(("outdegree h equals f(P, x-1)", hv == _h_from_f(lat)))
-        blocks = min_vertex_partition(lat, s1)
-        nonempty = sum(1 for k in lat.dims if k >= 0)
-        checks.append(
-            ("minimal-vertex blocks cover all nonempty faces",
-             sum(len(b) for b in blocks.values()) == nonempty)
-        )
-    return checks
-
-
-def _second_direction(lat: FaceLattice, s1):
-    """The reversed sweep: always generic, always a different ordering."""
-    if lat.dim == 0:
-        return s1
-    return choose_direction(tuple(-x for x in s1.p), lat.coords)
-
-
-def _h_from_f(lat: FaceLattice) -> tuple:
-    """Coefficients of f(P, x-1): the independent h-vector oracle."""
-    fv = lat.f_vector()
-    d = lat.dim
-    h = [0] * (d + 1)
-    for i in range(d + 1):  # f_i * (x-1)^i
-        fi = fv[i + 1]
-        for j in range(i + 1):
-            sign = -1 if (i - j) % 2 else 1
-            h[j] += fi * sign * comb(i, j)
-    return tuple(h)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,8 @@ def hyperplane_through(points, ambient_dim: int) -> Hyperplane:
         kernel = null_space(diffs)
     else:  # a single point in ambient dimension 1
         kernel = [(Fraction(1),)]
-    assert len(kernel) == 1
+    if len(kernel) != 1:
+        raise ValueError(f"points of R^{len(p0)} span no hyperplane of R^{ambient_dim}")
     normal = canonical_integer_vector(kernel[0])
     return Hyperplane(normal, dot(normal, p0))
 

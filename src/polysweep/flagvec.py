@@ -93,7 +93,8 @@ class WordPoly:
             for w, c in terms.items():
                 c = _norm_coeff(c)
                 if c != 0:
-                    assert all(ch in self.letters for ch in w), w
+                    if not all(ch in self.letters for ch in w):
+                        raise ValueError(f"word {w!r} is not over {self.letters!r}")
                     self.terms[w] = c
 
     @classmethod
@@ -138,7 +139,8 @@ class WordPoly:
 
     def __mul__(self, other):
         if isinstance(other, WordPoly):
-            assert type(other) is type(self)
+            if type(other) is not type(self):
+                raise TypeError(f"cannot multiply by {type(other).__name__}")
             out: dict = {}
             for u, cu in self.terms.items():
                 for v, cv in other.terms.items():

@@ -31,7 +31,7 @@ from .exactnum import (
     vsub,
 )
 from .flagvec import CDPolynomial, cd_index
-from .polytope import FaceLattice, VRep, facet_hyperplanes
+from .polytope import FaceLattice, VRep, facet_hyperplanes, memoized
 
 UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
 
@@ -163,6 +163,7 @@ def _project(points: list) -> tuple:
     return tuple(tuple(p[c] for c in cols) for p in points)
 
 
+@memoized
 def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     """The vertex figure at vi, with exact coordinates and the induced
     sweep direction.
@@ -241,9 +242,8 @@ def is_extreme(lat: FaceLattice, s: SweepDirection, vi: int) -> bool:
     return hv == min(s.heights) or hv == max(s.heights)
 
 
-def sweep_section(
-    lat: FaceLattice, s: SweepDirection, vi: int, qv: SubPolytope | None = None
-) -> SubPolytope | None:
+@memoized
+def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
     """The vertex figure cut by the sweep hyperplane through v; None
     when v is the global minimum or maximum.
 
@@ -257,8 +257,7 @@ def sweep_section(
         raise ValueError("a section needs dimension at least 2")
     if is_extreme(lat, s, vi):
         return None
-    if qv is None:
-        qv = vertex_figure(lat, s, vi)
+    qv = vertex_figure(lat, s, vi)
     qlat = qv.lattice
     hv = s.heights[vi]
     qheights = qv.direction.heights
@@ -362,7 +361,7 @@ def sweep_recursive(
         for j in range(qv.lattice.n_vertices):
             if qv.slopes[j] > 0:
                 term = alg.add(term, alg.c(sub_per[j]))
-        rv = sweep_section(lat, s, vi, qv) if d >= 2 else None
+        rv = sweep_section(lat, s, vi) if d >= 2 else None
         if rv is not None:
             val_r = alg.value(rv.lattice)
             if deep:
@@ -392,7 +391,7 @@ def sweep_symmetric(
     for vi in range(lat.n_vertices):
         qv = vertex_figure(lat, s, vi)
         term = alg.c(alg.value(qv.lattice))
-        rv = sweep_section(lat, s, vi, qv) if d >= 2 else None
+        rv = sweep_section(lat, s, vi) if d >= 2 else None
         if rv is not None:
             val_r = alg.value(rv.lattice)
             term = alg.add(term, alg.scale(2, alg.d(val_r)))

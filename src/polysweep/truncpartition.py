@@ -31,7 +31,8 @@ from .flagvec import (
 )
 from .polytope import FaceLattice
 from .sweep import (
-    MIDDLE,
+    LOWER,
+    UPPER,
     SubPolytope,
     SweepDirection,
     choose_direction,
@@ -91,30 +92,15 @@ def _extreme_vertex(l: FaceLattice, s: SweepDirection, fi: int, want_max: bool) 
     return max(vs, key=key) if want_max else min(vs, key=key)
 
 
-class _Context:
-    """Caches per (lattice, direction): vertex figures and edge slopes."""
-
-    def __init__(self, lat: FaceLattice, s: SweepDirection):
-        self.lat = lat
-        self.s = s
-        self._figs: dict[int, SubPolytope] = {}
-
-    def figure(self, vi: int) -> SubPolytope:
-        if vi not in self._figs:
-            self._figs[vi] = vertex_figure(self.lat, self.s, vi)
-        return self._figs[vi]
-
-    def slope(self, vi: int, edge: int):
-        """Slope key of an edge at vi, read off the vertex figure: the
-        sub-vertex sitting on that edge carries it."""
-        qv = self.figure(vi)
-        for j in range(qv.lattice.n_vertices):
-            if qv.face_parent[qv.lattice.by_dim[0][j]] == edge:
-                return qv.slopes[j]
-        raise KeyError(edge)
+def _slope(qv: SubPolytope, edge: int):
+    """Slope key of an edge at v, carried by the figure's sub-vertex on it."""
+    for j in range(qv.lattice.n_vertices):
+        if qv.face_parent[qv.lattice.by_dim[0][j]] == edge:
+            return qv.slopes[j]
+    raise KeyError(edge)
 
 
-def _top_bottom(l, s, ctx: _Context, chain: Chain, want_top: bool) -> Chain:
+def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     """Add the missing minimal label to a chain: a vertex of the chain's
     minimal face (extremal in height), or, when the chain already starts
     at a vertex v, an edge at v inside the next face (extremal in slope).
@@ -132,32 +118,17 @@ def _top_bottom(l, s, ctx: _Context, chain: Chain, want_top: bool) -> Chain:
     edges = [
         e for e in l.faces_at_vertex(vi, 1) if l.contains(e, f2)
     ]
-    pick = (max if want_top else min)(edges, key=lambda e: ctx.slope(vi, e))
+    qv = vertex_figure(l, s, vi)
+    pick = (max if want_top else min)(edges, key=lambda e: _slope(qv, e))
     return (chain[0], pick) + rest
 
 
 def top_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:
-    return _top_bottom(l, s, _Context(l, s), chain, want_top=True)
+    return _top_bottom(l, s, chain, want_top=True)
 
 
 def bottom_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:
-    return _top_bottom(l, s, _Context(l, s), chain, want_top=False)
-
-
-def _classify_chain(l, s, chain: Chain) -> str:
-    """Position of a truncation face of the vertex figure at the chain's
-    vertex, relative to the sweep hyperplane: decided by the chain's
-    minimal face."""
-    vi = l.vertices_of(chain[0])[0]
-    rest = chain[1:]
-    if not rest:
-        hv = s.heights[vi]
-        if hv == min(s.heights):
-            return "upper"
-        if hv == max(s.heights):
-            return "lower"
-        return MIDDLE
-    return classify_face(l, s, vi, rest[0])
+    return _top_bottom(l, s, chain, want_top=False)
 
 
 def _partition(lat: FaceLattice, s: SweepDirection) -> list:
@@ -165,7 +136,7 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
     d = lat.dim
     if d == 0:
         return [("", 0, [()])]
-    ctx = _Context(lat, s)
+    full = len(lat.masks) - 1
     chains = enumerate_chains(lat)
 
     members: dict[Chain, set] = {}
@@ -185,23 +156,25 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         if _has_vertex_entry(lat, ch):
             with_vertex.append(ch)
             continue
-        tau = _top_bottom(lat, s, ctx, ch, want_top=True)
-        beta = _top_bottom(lat, s, ctx, ch, want_top=False)
+        tau = _top_bottom(lat, s, ch, want_top=True)
+        beta = _top_bottom(lat, s, ch, want_top=False)
         file_under(beta, beta)
         file_under(beta, tau)
         file_under(beta, ch)
 
-    # middle chains join the pre-block of their top face
+    # middle chains, as decided by their minimal face above the vertex,
+    # join the pre-block of their top face
     for ch in with_vertex:
-        cls = _classify_chain(lat, s, ch)
-        if cls == "upper":
+        vi = lat.vertices_of(ch[0])[0]
+        cls = classify_face(lat, s, vi, ch[1] if len(ch) > 1 else full)
+        if cls == UPPER:
             if key_of.get(ch) != ch:
                 raise CrossCheckError(f"upper face {ch} is not its own key")
-        elif cls == "lower":
+        elif cls == LOWER:
             if ch not in key_of:
                 raise CrossCheckError(f"lower face {ch} was never filed")
         else:
-            tau = _top_bottom(lat, s, ctx, ch, want_top=True)
+            tau = _top_bottom(lat, s, ch, want_top=True)
             if key_of.get(tau) != tau:
                 raise CrossCheckError(f"top face {tau} of middle {ch} not upper")
             file_under(tau, ch)
@@ -216,9 +189,9 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
     for vi in range(lat.n_vertices):
         if vi == top_v:
             continue
-        qv = ctx.figure(vi)
+        qv = vertex_figure(lat, s, vi)
         if d >= 2 and not is_extreme(lat, s, vi):
-            rv = sweep_section(lat, s, vi, qv)
+            rv = sweep_section(lat, s, vi)
             fresh = choose_direction(None, rv.lattice.coords)
             for word, _, sub_chains in _partition(rv.lattice, fresh):
                 keys = []
@@ -323,3 +296,10 @@ def verify_partition(blocks, chains, lat: FaceLattice) -> PartitionReport:
                 f"block {b.word}: flag polynomial {psi_block} != {expected}"
             )
     return PartitionReport(ok=not failures, failures=failures)
+
+
+def checked_partition(lat: FaceLattice, s: SweepDirection) -> tuple:
+    """build_partition, enumerate_chains, and verify_partition on the two."""
+    blocks = build_partition(lat, s)
+    chains = enumerate_chains(lat)
+    return blocks, chains, verify_partition(blocks, chains, lat)

@@ -136,6 +136,12 @@ def test_float_coordinate_exit_2(tmp_path, capsys):
     assert '"1/10"' in capsys.readouterr().err
     path.write_text('{"dim": 2, "vertices": [["0.1", 0], [1, 0], [0, 1]]}')
     assert main(["describe", "--input", str(path)]) == 0
+    capsys.readouterr()
+    # the dimension is held to the same contract as the coordinates
+    for dim in ("2.5", "true", '"2"'):
+        path.write_text('{"dim": %s, "vertices": [[0, 0], [1, 0], [0, 1]]}' % dim)
+        assert main(["describe", "--input", str(path)]) == 2
+        assert "is not a JSON integer" in capsys.readouterr().err
 
 
 def test_non_vertex_point_exit_2(tmp_path, capsys):

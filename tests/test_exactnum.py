@@ -67,6 +67,9 @@ def test_hyperplane_degenerate():
         hyperplane_through([vec(0, 0, 0), vec(1, 1, 1)], 3)
     with pytest.raises(DegenerateSpan):
         hyperplane_through([vec(0, 0), vec(1, 0), vec(0, 1)], 2)
+    # points of R^3 spanning a line leave a 2-dimensional kernel
+    with pytest.raises(ValueError, match="span no hyperplane"):
+        hyperplane_through([vec(0, 0, 0), vec(1, 1, 1)], 2)
 
 
 def test_side():

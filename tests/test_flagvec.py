@@ -131,6 +131,14 @@ def test_cd_roundtrip_random():
         assert cd_from_ab(ab_from_cd(phi)) == phi
 
 
+def test_word_poly_rejects_foreign_letters_and_operands():
+    # explicit raises, so the checks also hold under python -O
+    with pytest.raises(ValueError, match="not over 'cd'"):
+        CD({"ab": 1})
+    with pytest.raises(TypeError, match="cannot multiply by ABPolynomial"):
+        CD({"c": 1}) * ABPolynomial({"a": 1})
+
+
 def test_cd_from_ab_rejects_non_eulerian():
     with pytest.raises(NotCDExpressible):
         cd_from_ab(ABPolynomial({"ab": 1}))

@@ -101,6 +101,22 @@ def test_lattice_structure_valid():
         lat(spec).validate()
 
 
+def test_validate_rejects_faces_not_closed_under_intersection():
+    # the square without vertex {0}: its edges {0,1} and {0,2} meet there
+    l = ps.FaceLattice(
+        2, [(0, -1), (0b0010, 0), (0b0100, 0), (0b1000, 0), (0b0011, 1),
+            (0b0101, 1), (0b1010, 1), (0b1100, 1), (0b1111, 2)]
+    )
+    with pytest.raises(ValueError, match="not closed under intersection"):
+        l.validate()
+
+
+def test_edge_endpoints_rejects_a_non_edge():
+    l = lat("cube:3")
+    with pytest.raises(ValueError, match="is not an edge"):
+        l.edge_endpoints(l.by_dim[2][0])
+
+
 def test_dim0_faces_are_singletons():
     l = lat("cross:4")
     for i in l.by_dim[0]:
@@ -138,6 +154,14 @@ def test_facet_hyperplanes_outward():
     pts = l.coords.vertices
     for normal, offset in facet_hyperplanes(l):
         assert all(ps.dot(normal, p) <= offset for p in pts)
+
+
+def test_geometry_of_a_lattice_without_coordinates_raises():
+    d = ps.dual(lat("cube:3"))
+    with pytest.raises(ValueError, match="facet_hyperplanes needs a lattice with vertex coordinates"):
+        facet_hyperplanes(d)
+    with pytest.raises(ValueError, match="polar_dual needs a lattice with vertex coordinates"):
+        ps.polar_dual(d)
 
 
 def test_is_eulerian():

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
+import polysweep.sweep as sweep_mod
+import polysweep.truncpartition as partition_mod
 from conftest import default_direction, lat
+from polysweep.cli import parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from polysweep.flagvec import CDPolynomial, cd_index
 from polysweep.sweep import (
@@ -320,6 +323,53 @@ def test_deep_sweep_cross_validates():
         l, s = lat(spec), default_direction(spec)
         _, total = cd_sweep(l, s, deep=True)
         assert total == cd_index(l)
+
+
+def test_routes_get_the_same_figures_and_sections(monkeypatch):
+    """The cd sweep, the toric sweep and the partition on one lattice and
+    direction all get the vertex figure and section the first built."""
+    l = ps.hull_lattice(parse_input("pyramid:polygon:4"))
+    s = ps.choose_direction(None, l.coords)
+    got: dict = {}
+
+    def spy(kind, fn):
+        def wrapper(lat_, s_, vi):
+            out = fn(lat_, s_, vi)
+            if lat_ is l:
+                got.setdefault((kind, vi), []).append(out)
+            return out
+        return wrapper
+
+    figure = spy("figure", sweep_mod.vertex_figure)
+    section = spy("section", sweep_mod.sweep_section)
+    for mod in (sweep_mod, partition_mod):
+        monkeypatch.setattr(mod, "vertex_figure", figure)
+        monkeypatch.setattr(mod, "sweep_section", section)
+    ps.cd_sweep(l, s)
+    ps.toric_sweep(l, s)
+    ps.build_partition(l, s)
+
+    for objs in got.values():
+        assert all(o is objs[0] for o in objs)
+    middle = [vi for vi in range(l.n_vertices) if not sweep_mod.is_extreme(l, s, vi)]
+    assert middle
+    for vi in middle:
+        assert len(got[("figure", vi)]) >= 3 and len(got[("section", vi)]) >= 3
+
+
+def test_figure_memo_keys_on_the_direction():
+    l = ps.hull_lattice(parse_input("cross:3"))
+    s1 = ps.choose_direction(None, l.coords)
+    s2 = ps.choose_direction(tuple(-x for x in s1.p), l.coords)
+    fresh = ps.hull_lattice(parse_input("cross:3"))
+    for vi in range(l.n_vertices):
+        q1, q2 = vertex_figure(l, s1, vi), vertex_figure(l, s2, vi)
+        assert q1 is not q2
+        assert q1.direction != q2.direction
+        assert q2.direction == vertex_figure(fresh, s2, vi).direction
+        r1, r2 = sweep_section(l, s1, vi), sweep_section(l, s2, vi)
+        if r1 is not None:
+            assert r1 is not r2
 
 
 def test_sub_polytope_face_map_order_preserving():
