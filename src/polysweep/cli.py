@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -326,8 +327,24 @@ VALID_METHODS = {
 }
 
 
+# a value such as -3,4 is read by argparse as an option, not a number
+_NEGATIVE_VALUE = re.compile(r"-[0-9./]")
+
+
+def _attach_direction(argv: list) -> list:
+    """Rewrite `--direction -3,4` as `--direction=-3,4`."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--direction" and _NEGATIVE_VALUE.match(a):
+            out[-1] = f"--direction={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_direction(argv))
     try:
         if args.method is not None:
             allowed = VALID_METHODS.get(args.command)
@@ -351,9 +368,14 @@ def main(argv=None) -> int:
         return 3
 
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+        try:
+            with open(args.output, "w") as f:
+                json.dump(payload, f, indent=2)
+                f.write("\n")
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
     elif args.format == "json":
         json.dump(payload, sys.stdout, indent=2)
         print()

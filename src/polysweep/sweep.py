@@ -12,24 +12,27 @@ vertex v the machinery builds
 
 Both carry exact projected coordinates so the construction can recurse.
 The depth of the cut never matters: every comparison the recursion makes
-is decided by vertex heights and edge slopes.
+is decided by vertex heights and edge slopes.  Both cuts are in closed
+form: the points lie on a known hyperplane, so dropping one coordinate
+projects them injectively, and the sweep functional restricted to that
+hyperplane is the induced direction.
+
+The recursion sweeps every vertex of the polytope it is given, because
+each per-vertex part is reported.  Inside a vertex figure only the
+parts of sub-vertices with positive slope are read, so only those are
+swept; with deep=True every sub-vertex is swept, so that every section
+on the way is re-swept and checked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
 from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
-from .exactnum import (
-    QVector,
-    dot,
-    pivot_columns,
-    solve_affine_functional,
-    vsub,
-)
+from .exactnum import QVector, affine_rank, dot, vsub
 from .flagvec import CDPolynomial, cd_index
 from .polytope import FaceLattice, VRep, facet_hyperplanes, memoized
 
@@ -60,6 +63,7 @@ class SupportNormal:
 
     v: int
     a: QVector
+    slopes: dict = field(compare=False)  # edge index -> slope key under a
 
 
 @dataclass(frozen=True)
@@ -149,18 +153,32 @@ def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNorma
             )
         slopes = _slopes_for(lat, s, vi, a)
         if len(set(slopes.values())) == len(slopes):
-            return SupportNormal(vi, a)
+            return SupportNormal(vi, a, slopes)
     raise RuntimeError("support normal ladder exhausted")  # pragma: no cover
 
 
-def _project(points: list) -> tuple:
-    """Restrict points to a coordinate subset on which their affine hull
-    projects injectively; returns the projected points."""
-    if len(points) == 1:
-        return ((),)
-    diffs = [list(vsub(p, points[0])) for p in points[1:]]
-    cols = pivot_columns(diffs)
-    return tuple(tuple(p[c] for c in cols) for p in points)
+def _cut(normal: QVector) -> tuple[list[int], int]:
+    """(kept columns, dropped column k) for points on a hyperplane with
+    this normal: k is the last coordinate with normal[k] != 0, which is
+    the column pivot_columns leaves out for any point set spanning the
+    hyperplane, and dropping it projects the hyperplane injectively."""
+    k = max(i for i, x in enumerate(normal) if x != 0)
+    return [i for i in range(len(normal)) if i != k], k
+
+
+def _restrict(p: QVector, normal: QVector, cols: list, k: int) -> QVector:
+    """The linear part of p on the hyperplane normal.y = b, in the kept
+    coordinates: p.y = q.y[cols] + (p_k / normal_k) b."""
+    r = p[k] / normal[k]
+    return tuple(p[i] - r * normal[i] for i in cols)
+
+
+def _project(points: list, cols: list, dim: int) -> VRep:
+    """The points restricted to the kept columns; they must span dim."""
+    proj = tuple(tuple(y[i] for i in cols) for y in points)
+    if affine_rank(proj) != dim:
+        raise CrossCheckError(f"the cut points do not span dimension {dim}")
+    return VRep(dim, proj)
 
 
 @memoized
@@ -178,7 +196,7 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         raise ValueError("a vertex figure needs dimension at least 1")
     pts = lat.coords.vertices
     n = support_normal(lat, s, vi)
-    slopes = _slopes_for(lat, s, vi, n.a)
+    slopes = n.slopes
     edges = sorted(_edges_at(lat, vi), key=lambda e: lat.masks[e])
     edge_pos = {e: j for j, e in enumerate(edges)}
 
@@ -189,7 +207,9 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         ambient.append(
             tuple(pts[vi][k] + t * (pts[wi][k] - pts[vi][k]) for k in range(d))
         )
-    coords = VRep(d - 1, _project(ambient))
+    # the cut plane is n.a . y = n.a . v - 1
+    cols, k = _cut(n.a)
+    coords = _project(ambient, cols, d - 1)
 
     faces = []
     parents = {}
@@ -206,9 +226,15 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     face_parent = tuple(parents[m] for m in sub.masks)
 
     heights = tuple(s.heights[vi] + slopes[e] for e in edges)
-    # the induced heights are affine in the projected coordinates; the
-    # solve doubles as a consistency check of the projection
-    q, _offset = solve_affine_functional(coords.vertices, heights)
+    # the induced direction is s.p restricted to the cut plane; that the
+    # heights from the slopes are affine in it checks the projection
+    q = _restrict(s.p, n.a, cols, k)
+    ys = coords.vertices
+    offset = heights[0] - dot(q, ys[0])
+    if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
+        raise CrossCheckError(
+            f"induced heights at vertex {vi} are not affine in the cut coordinates"
+        )
     direction = SweepDirection(q, heights)
     return SubPolytope(
         lattice=sub,
@@ -283,7 +309,9 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
         lam = (hv - qheights[j2]) / (qheights[j1] - qheights[j2])
         y1, y2 = qlat.coords.vertices[j1], qlat.coords.vertices[j2]
         ambient.append(tuple(y2[k] + lam * (y1[k] - y2[k]) for k in range(d - 1)))
-    coords = VRep(d - 2, _project(ambient))
+    # the section lies on the level set of the figure's direction
+    cols, _ = _cut(qv.direction.p)
+    coords = _project(ambient, cols, d - 2)
 
     faces = [(0, -1)]
     # the empty face inherits {v} as its parent, matching chain maps
@@ -337,7 +365,7 @@ class SweepAlgebra:
 def sweep_recursive(
     alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, deep: bool = False
 ) -> tuple[dict, object]:
-    """Per-vertex contributions and their sum.
+    """Per-vertex contributions of every vertex, and their sum.
 
     The contribution at v is d times the section's value plus c times
     the recursive per-vertex parts of the vertex figure, summed over its
@@ -346,21 +374,34 @@ def sweep_recursive(
     is recomputed by a recursive sweep under a fresh direction and the
     two must agree.
     """
+    if lat.dim == 0:
+        return {0: alg.one}, alg.one
+    per = _sweep_parts(alg, lat, s, range(lat.n_vertices), deep)
+    return per, reduce(alg.add, per.values(), alg.zero(lat.dim))
+
+
+def _sweep_parts(
+    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
+) -> dict:
+    """The per-vertex parts of the vertices in wanted only.  A figure's
+    parts are read at its sub-vertices with positive slope, so only
+    those are swept; with deep=True all are, to check every section."""
     d = lat.dim
     if d == 0:
-        return {0: alg.one}, alg.one
+        return {0: alg.one}
     per = {}
     top = max(range(lat.n_vertices), key=lambda i: s.heights[i])
-    for vi in range(lat.n_vertices):
+    for vi in wanted:
         term = alg.zero(d)
         if vi == top:
             per[vi] = term
             continue
         qv = vertex_figure(lat, s, vi)
-        sub_per, _ = sweep_recursive(alg, qv.lattice, qv.direction, deep)
-        for j in range(qv.lattice.n_vertices):
-            if qv.slopes[j] > 0:
-                term = alg.add(term, alg.c(sub_per[j]))
+        up = [j for j, m in enumerate(qv.slopes) if m > 0]
+        swept = range(qv.lattice.n_vertices) if deep else up
+        sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
+        for j in up:
+            term = alg.add(term, alg.c(sub_per[j]))
         rv = sweep_section(lat, s, vi) if d >= 2 else None
         if rv is not None:
             val_r = alg.value(rv.lattice)
@@ -374,7 +415,7 @@ def sweep_recursive(
                     )
             term = alg.add(term, alg.d(val_r))
         per[vi] = term
-    return per, reduce(alg.add, per.values(), alg.zero(d))
+    return per
 
 
 def sweep_symmetric(

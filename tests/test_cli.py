@@ -190,3 +190,32 @@ def test_deep_sweep_flag(capsys):
     )
     assert code == 0
     assert obj["cd"] == {"ccc": 1, "dc": 6, "cd": 4}
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["describe", "--input", "cube:3", "--output", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["cdindex --method sweep", "toric --method symmetric", "partition"]
+)
+def test_negative_direction_as_separate_argument(capsys, command):
+    joined = main(command.split() + ["--input", "polygon:5", "--direction=-3,4"])
+    expected = capsys.readouterr()
+    split = main(command.split() + ["--input", "polygon:5", "--direction", "-3,4"])
+    assert (split, capsys.readouterr()) == (joined, expected)
+    assert joined == 0
+
+
+@pytest.mark.parametrize("value", ["-3,x", "-3"])
+def test_malformed_negative_direction_exit_2(capsys, value):
+    # -3 has too few entries for a polygon; -3,x is not a rational list
+    code = main(["cdindex", "--method", "sweep", "--input", "polygon:5",
+                 "--direction", value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

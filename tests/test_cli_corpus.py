@@ -1,0 +1,121 @@
+"""Byte-for-byte guard on the CLI output over a fixed corpus.
+
+Each invocation runs `polysweep.cli.main` in process; its exit code,
+stdout and stderr are hashed together with sha256 and compared with
+`tests/data/cli_corpus.json`.  The hull of each input is computed once
+and every invocation gets a fresh copy of its lattice, with an empty
+memo, so everything past the hull is recomputed per invocation.
+
+After an intended change of the output, rewrite the golden file with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+and say in CHANGES.md which outputs changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import polysweep.cli as cli
+import polysweep.polytope as polytope
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
+
+# the builtin specs of dimension <= 3 named in the tests and README,
+# plus two 4-polytopes
+SPECS = {
+    "point": 0, "simplex:0": 0,
+    "segment": 1, "cube:1": 1, "simplex:1": 1,
+    "simplex:2": 2, "cube:2": 2, "cross:2": 2, "polygon:3": 2,
+    "polygon:5": 2, "polygon:6": 2, "polygon:7": 2, "polygon:8": 2,
+    "simplex:3": 3, "cube:3": 3, "cross:3": 3,
+    "pyramid:polygon:4": 3, "pyramid:polygon:5": 3,
+    "prism:polygon:3": 3, "prism:polygon:5": 3, "prism:polygon:6": 3,
+    "cube:4": 4, "cross:4": 4,
+}
+
+# one direction per dimension, generic for every spec above
+DIRECTIONS = {1: "-3", 2: "-3,7/2", 3: "-3,7/2,11/5", 4: "-3,7/2,11/5,13/7"}
+
+COMMANDS = (
+    ("cdindex", "--method", "sweep"),
+    ("cdindex", "--method", "symmetric"),
+    ("cdindex", "--method", "sweep", "--deep-sweep"),
+    ("toric", "--method", "sweep"),
+    ("toric", "--method", "symmetric"),
+    ("partition",),
+    ("verify",),
+)
+
+
+def invocations() -> list:
+    out = []
+    for spec, dim in SPECS.items():
+        for cmd in COMMANDS:
+            out.append((*cmd, "--input", spec))
+            if dim:
+                out.append((*cmd, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
+    return out
+
+
+@contextlib.contextmanager
+def cached_hulls():
+    hulls = {}
+    real = polytope.hull_lattice
+
+    def hull_lattice(v, validate=False):
+        if (v, validate) not in hulls:
+            hulls[v, validate] = real(v, validate)
+        l = hulls[v, validate]
+        return polytope.FaceLattice(l.dim, zip(l.masks, l.dims), coords=l.coords)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "hull_lattice", hull_lattice)
+        mp.setattr(cli, "hull_lattice", hull_lattice)
+        yield
+
+
+def digest(argv) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    blob = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _load() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_covers_every_invocation():
+    assert sorted(_load()) == sorted(" ".join(a) for a in invocations())
+
+
+@pytest.mark.parametrize("spec", list(SPECS))
+def test_cli_output_is_unchanged(spec):
+    golden = _load()
+    with cached_hulls():
+        changed = [
+            " ".join(argv)
+            for argv in invocations()
+            if argv[argv.index("--input") + 1] == spec
+            and digest(argv) != golden[" ".join(argv)]
+        ]
+    assert not changed, f"CLI output changed for: {changed}"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with cached_hulls():
+        table = {" ".join(argv): digest(argv) for argv in invocations()}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

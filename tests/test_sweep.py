@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import polysweep as ps
 import polysweep.sweep as sweep_mod
@@ -8,6 +10,7 @@ import polysweep.truncpartition as partition_mod
 from conftest import default_direction, lat
 from polysweep.cli import parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
+from polysweep.exactnum import matrix_rank, pivot_columns, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
 from polysweep.sweep import (
     MIDDLE,
@@ -424,3 +427,100 @@ def test_random_polytopes_routes_agree():
         from polysweep.toric import toric_from_cd, toric_h_definition
 
         assert toric_h_definition(l) == toric_from_cd(phi, degree=d)
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+
+
+@st.composite
+def points_on_a_hyperplane(draw):
+    """(normal, b, points) with every point on normal.y = b, solved for
+    the first coordinate whose normal entry is nonzero."""
+    d = draw(st.integers(2, 5))
+    normal = tuple(draw(st.lists(small_rationals, min_size=d, max_size=d).filter(any)))
+    b = draw(small_rationals)
+    i0 = next(i for i, x in enumerate(normal) if x != 0)
+    points = []
+    for _ in range(draw(st.integers(d, d + 2))):
+        y = draw(st.lists(small_rationals, min_size=d, max_size=d))
+        y[i0] = (b - sum(normal[i] * y[i] for i in range(d) if i != i0)) / normal[i0]
+        points.append(tuple(y))
+    return normal, b, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_on_a_hyperplane(), st.lists(small_rationals, min_size=5, max_size=5))
+def test_closed_form_cut_matches_elimination(case, p):
+    normal, b, points = case
+    d = len(normal)
+    diffs = [list(vsub(y, points[0])) for y in points[1:]]
+    assume(matrix_rank(diffs) == d - 1)
+    cols, k = sweep_mod._cut(normal)
+    assert cols == pivot_columns(diffs)
+    p = tuple(p[:d])
+    q = sweep_mod._restrict(p, normal, cols, k)
+    for y in points:
+        restricted = ps.dot(q, tuple(y[i] for i in cols)) + p[k] / normal[k] * b
+        assert restricted == ps.dot(p, y)
+
+
+def test_cut_rejects_a_zero_normal_and_points_that_do_not_span():
+    with pytest.raises(ValueError):
+        sweep_mod._cut((F(0), F(0)))
+    on_a_line = [(F(0), F(0), F(1)), (F(1), F(1), F(1)), (F(2), F(2), F(1))]
+    with pytest.raises(CrossCheckError, match="do not span dimension 2"):
+        sweep_mod._project(on_a_line, [0, 1], 2)
+
+
+def test_vertex_figure_checks_the_induced_heights(monkeypatch):
+    l = ps.hull_lattice(parse_input("cross:3"))
+    s = ps.choose_direction(None, l.coords)
+    real = sweep_mod._restrict
+
+    def skewed(p, normal, cols, k):
+        q = real(p, normal, cols, k)
+        return (q[0] + 1,) + q[1:]
+
+    monkeypatch.setattr(sweep_mod, "_restrict", skewed)
+    with pytest.raises(CrossCheckError, match="induced heights at vertex 0"):
+        vertex_figure(l, s, 0)
+
+
+def sweep_counting_builds(monkeypatch, spec, deep):
+    """cd_sweep on a fresh lattice (empty memo), counting the vertex
+    figures built: support_normal runs once per memo miss."""
+    l = ps.hull_lattice(parse_input(spec))
+    s = ps.choose_direction(None, l.coords)
+    builds = []
+    real = sweep_mod.support_normal
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "support_normal", counted)
+    per, total = cd_sweep(l, s, deep=deep)
+    return l, per, total, len(builds)
+
+
+def test_sweep_builds_only_the_figures_it_reads(monkeypatch):
+    l, per, total, builds = sweep_counting_builds(monkeypatch, "cube:4", False)
+    assert builds == 40  # 240 when every vertex of every figure was swept
+    assert sorted(per) == list(range(l.n_vertices))
+    assert total == cd_index(l)
+    _, per_deep, _, _ = sweep_counting_builds(monkeypatch, "cube:4", True)
+    assert per == per_deep
+
+
+def test_deep_sweep_still_builds_every_figure(monkeypatch):
+    l, per, total, builds = sweep_counting_builds(monkeypatch, "cube:4", True)
+    assert builds == 338
+    assert sorted(per) == list(range(l.n_vertices))
+    assert total == cd_index(l)
+
+
+def test_toric_sweep_reports_every_vertex():
+    l = ps.hull_lattice(parse_input("cross:4"))
+    s = ps.choose_direction(None, l.coords)
+    per, _ = ps.toric_sweep(l, s)
+    assert sorted(per) == list(range(l.n_vertices))
