@@ -128,30 +128,6 @@ def null_space(rows) -> list[QVector]:
     return basis
 
 
-def solve_affine_functional(points, values) -> tuple[QVector, Fraction]:
-    """Find (q, c) with q.p + c = value for every given point.
-
-    Raises DegenerateSpan if the data is inconsistent (the values are not
-    an affine function of the points).
-    """
-    points = list(points)
-    values = list(values)
-    k = len(points[0]) if points else 0
-    aug = [list(p) + [Fraction(1), Fraction(v)] for p, v in zip(points, values)]
-    rref, pivots = row_echelon(aug)
-    if k + 1 in pivots:
-        raise DegenerateSpan("values are not an affine function of the points")
-    sol = [Fraction(0)] * (k + 1)
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][k + 1]
-    q = tuple(sol[:k])
-    c = sol[k]
-    for p, v in zip(points, values):
-        if dot(q, p) + c != v:
-            raise DegenerateSpan("affine solve failed to reproduce the data")
-    return q, c
-
-
 def canonical_integer_vector(v: QVector) -> QVector:
     """Scale a nonzero rational vector to integer entries, content 1,
     first nonzero entry positive."""

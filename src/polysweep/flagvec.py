@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotCDExpressible
-from .polytope import FaceLattice
+from .polytope import FaceLattice, bits
 
 
 def subsets_of(d: int):
@@ -41,14 +41,13 @@ def flag_f(l: FaceLattice) -> FlagVector:
         if not S:
             continue
         levels = sorted(S)
-        cur = {fi: 1 for fi in l.by_dim.get(levels[0], ())}
-        for k in levels[1:]:
-            nxt = {}
-            for gi in l.by_dim.get(k, ()):
-                total = sum(c for fi, c in cur.items() if l.contains(fi, gi))
-                if total:
-                    nxt[gi] = total
-            cur = nxt
+        cur = dict.fromkeys(l.by_dim.get(levels[0], ()), 1)
+        for lower, k in zip(levels, levels[1:]):
+            below = l.level.get(lower, 0)
+            cur = {
+                gi: sum(cur[fi] for fi in bits(l.down[gi] & below))
+                for gi in l.by_dim.get(k, ())
+            }
         values[frozenset(S)] = sum(cur.values())
     return FlagVector(d, values)
 

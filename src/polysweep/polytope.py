@@ -6,8 +6,12 @@ and close the facet vertex sets under intersection.  Its time grows with
 C(n, d) (measured: under 1 s to 16 vertices in dimension 4 or 12 in
 dimension 6; 4-5 s at 24-25 vertices in dimension 4; 107 s for cube:5).
 
-Faces are stored as bitmasks over vertex indices; a face *is* its vertex
-set, so deduplication and intersection are integer operations.
+A lattice uses two encodings, both Python ints used as bitsets.  A face
+*is* its vertex set, a mask over vertex indices, so deduplication and
+intersection are integer operations.  The order between faces is held
+once, as masks over face indices: the faces below and above each face,
+and the faces of each dimension.  Every order query (containment,
+intervals, faces at a vertex, the facets of a face) reads those.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from .errors import CrossCheckError, DegenerateSpan, NonVertexPoint, NotFullDimensional
 from .exactnum import (
@@ -44,22 +49,30 @@ class VRep:
                 raise ValueError("vertex length does not match dim")
 
 
-def _bits(mask: int):
-    i = 0
+def bits(mask: int):
+    """The indices of the set bits, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FaceLattice:
     """The full face poset of a polytope, graded by dimension.
 
-    ``masks[i]`` is the vertex set of face ``i`` as a bitmask and
-    ``dims[i]`` its dimension; faces are sorted by (dim, mask).  Index 0
-    is the empty face (dim -1), the last index the polytope itself.
-    Immutable after construction, apart from its memo (see ``memoized``).
+    Faces are identified by vertex masks: ``masks[i]`` is the vertex set
+    of face ``i`` and ``dims[i]`` its dimension; ``index`` maps a mask to
+    its face.  Faces are sorted by (dim, mask), so ``by_dim[k]`` is a
+    contiguous run of indices; index 0 is the empty face (dim -1), the
+    last index the polytope itself.
+
+    Incidence is held in face-index masks: ``down[i]`` has bit j when
+    face j is contained in face i, ``up[i]`` when face j contains face i
+    (both include i itself, and ``down[i]`` has no bit above i), and
+    ``level[k]`` has the faces of dimension k.  So the interval [i, j]
+    is ``up[i] & down[j]`` and the faces at vertex v of dimension k are
+    ``up[{v}] & level[k]``.  Immutable after construction, apart from
+    its memo (see ``memoized``).
     """
 
     def __init__(self, dim: int, faces, coords: VRep | None = None):
@@ -71,14 +84,28 @@ class FaceLattice:
         self.index = {m: i for i, m in enumerate(self.masks)}
         if len(self.index) != len(self.masks):
             raise ValueError("duplicate face masks")
-        by_dim: dict[int, list[int]] = {}
-        for i, k in enumerate(self.dims):
-            by_dim.setdefault(k, []).append(i)
-        self.by_dim = {k: tuple(v) for k, v in by_dim.items()}
+        n = len(self.masks)
+        self.by_dim = {
+            k: tuple(g) for k, g in itertools.groupby(range(n), self.dims.__getitem__)
+        }
+        self.level = {k: ((1 << len(r)) - 1) << r[0] for k, r in self.by_dim.items()}
         if self.dims[0] != -1 or self.masks[0] != 0:
             raise ValueError("lattice must contain the empty face")
         if self.dims[-1] != dim:
             raise ValueError("lattice must contain a face of top dimension")
+        # up[i]: the faces at every vertex of face i; down[i]: the faces
+        # at no vertex outside it
+        every = (1 << n) - 1
+        up, down = [every] * n, [every] * n
+        for v in range(functools.reduce(or_, self.masks).bit_length()):
+            bit = 1 << v
+            at = sum(1 << i for i, m in enumerate(self.masks) if m & bit)
+            for i, m in enumerate(self.masks):
+                if m & bit:
+                    up[i] &= at
+                else:
+                    down[i] &= ~at
+        self.up, self.down = tuple(up), tuple(down)
         self.full_mask = self.masks[-1]
         self.n_vertices = len(self.by_dim.get(0, ()))
         self._memo: dict = {}
@@ -91,15 +118,14 @@ class FaceLattice:
         return tuple(len(self.by_dim.get(k, ())) for k in range(-1, self.dim + 1))
 
     def vertices_of(self, i: int) -> list[int]:
-        return list(_bits(self.masks[i]))
+        return list(bits(self.masks[i]))
 
     def contains(self, i: int, j: int) -> bool:
         """Face i <= face j."""
         return self.masks[i] & self.masks[j] == self.masks[i]
 
     def faces_at_vertex(self, vi: int, k: int) -> list[int]:
-        bit = 1 << vi
-        return [i for i in self.by_dim.get(k, ()) if self.masks[i] & bit]
+        return list(bits(self.up[self.index[1 << vi]] & self.level.get(k, 0)))
 
     def edge_endpoints(self, i: int) -> tuple[int, int]:
         vs = self.vertices_of(i)
@@ -123,17 +149,11 @@ class FaceLattice:
         mask_set = set(self.masks)
         if any(a & b not in mask_set for a in self.masks for b in self.masks):
             raise ValueError("the faces are not closed under intersection")
-        # every cover relation steps dimension by exactly one
-        n = len(self.masks)
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.contains(i, j):
-                    continue
-                covered = any(
-                    k != i and k != j and self.contains(i, k) and self.contains(k, j)
-                    for k in range(n)
-                )
-                if not covered and self.dims[j] != self.dims[i] + 1:
+        # every cover relation, an interval of two faces, steps dimension by one
+        for i, u in enumerate(self.up):
+            for j in bits(u & ~(1 << i)):
+                covers = (u & self.down[j]).bit_count() == 2
+                if covers and self.dims[j] != self.dims[i] + 1:
                     raise ValueError("the lattice is not graded")
         return self
 
@@ -152,7 +172,7 @@ def memoized(fn):
     return wrapper
 
 
-def hull_lattice(v: VRep, validate: bool = False) -> FaceLattice:
+def hull_lattice(v: VRep) -> FaceLattice:
     """Face lattice of conv(vertices).
 
     Raises NotFullDimensional if the points do not span R^dim and
@@ -207,12 +227,9 @@ def hull_lattice(v: VRep, validate: bool = False) -> FaceLattice:
     def face_dim(mask: int) -> int:
         if mask == 0:
             return -1
-        return affine_rank([pts[i] for i in _bits(mask)])
+        return affine_rank([pts[i] for i in bits(mask)])
 
-    lat = FaceLattice(d, [(m, face_dim(m)) for m in faces], coords=v)
-    if validate:
-        lat.validate()
-    return lat
+    return FaceLattice(d, [(m, face_dim(m)) for m in faces], coords=v)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +305,8 @@ def prism(p: VRep) -> VRep:
 def dual(l: FaceLattice) -> FaceLattice:
     """Order-reversed lattice; dual vertex j is facet j of l (facets in
     mask order).  No coordinates attached."""
-    facets = l.by_dim.get(l.dim - 1, ())
-    dfaces = []
-    for i in range(len(l.masks)):
-        dmask = 0
-        for j, fi in enumerate(facets):
-            if l.contains(i, fi):
-                dmask |= 1 << j
-        dfaces.append((dmask, l.dim - 1 - l.dims[i]))
+    facets, first = l.level[l.dim - 1], l.by_dim[l.dim - 1][0]
+    dfaces = [((u & facets) >> first, l.dim - 1 - k) for u, k in zip(l.up, l.dims)]
     return FaceLattice(l.dim, dfaces, coords=None)
 
 
@@ -345,16 +356,11 @@ def polar_lattice(l: FaceLattice) -> FaceLattice:
 def is_eulerian(l: FaceLattice) -> bool:
     """Every interval of rank >= 1 has equally many elements of even and
     odd rank."""
-    n = len(l.masks)
-    for i in range(n):
-        for j in range(n):
-            if l.dims[j] - l.dims[i] < 1 or not l.contains(i, j):
-                continue
-            balance = 0
-            for k in range(n):
-                if l.contains(i, k) and l.contains(k, j):
-                    balance += 1 if (l.dims[k] - l.dims[i]) % 2 == 0 else -1
-            if balance != 0:
+    even = sum(m for k, m in l.level.items() if k % 2 == 0)
+    for i, u in enumerate(l.up):
+        for j in bits(u & ~(1 << i)):
+            interval = u & l.down[j]
+            if 2 * (interval & even).bit_count() != interval.bit_count():
                 return False
     return True
 
@@ -365,10 +371,9 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
         return False
 
     def signature(l: FaceLattice, vi: int):
-        bit = 1 << vi
         return tuple(
             sorted((l.dims[i], l.masks[i].bit_count())
-                   for i in range(len(l.masks)) if l.masks[i] & bit)
+                   for i in bits(l.up[l.index[1 << vi]]))
         )
 
     siga = [signature(a, i) for i in range(a.n_vertices)]
@@ -382,7 +387,7 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
         if i == a.n_vertices:
             for m in a.masks:
                 img = 0
-                for v in _bits(m):
+                for v in bits(m):
                     img |= 1 << perm[v]
                 if img not in bmasks:
                     return False
@@ -440,5 +445,5 @@ def load_vrep(path: str) -> VRep:
 def lattice_to_json(l: FaceLattice) -> dict:
     faces: dict[str, list] = {}
     for k in range(-1, l.dim + 1):
-        faces[str(k)] = [sorted(_bits(l.masks[i])) for i in l.by_dim.get(k, ())]
+        faces[str(k)] = [sorted(bits(l.masks[i])) for i in l.by_dim.get(k, ())]
     return {"dim": l.dim, "faces": faces}

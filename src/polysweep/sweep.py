@@ -34,7 +34,7 @@ from functools import reduce
 from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
 from .exactnum import QVector, affine_rank, dot, vsub
 from .flagvec import CDPolynomial, cd_index
-from .polytope import FaceLattice, VRep, facet_hyperplanes, memoized
+from .polytope import FaceLattice, VRep, bits, facet_hyperplanes, memoized
 
 UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
 
@@ -197,8 +197,8 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     pts = lat.coords.vertices
     n = support_normal(lat, s, vi)
     slopes = n.slopes
-    edges = sorted(_edges_at(lat, vi), key=lambda e: lat.masks[e])
-    edge_pos = {e: j for j, e in enumerate(edges)}
+    vf = lat.index[1 << vi]
+    edges = _edges_at(lat, vi)
 
     ambient = []
     for e in edges:
@@ -213,15 +213,10 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
 
     faces = []
     parents = {}
-    vbit = 1 << vi
-    for i in range(len(lat.masks)):
-        if lat.masks[i] & vbit:
-            qmask = 0
-            for e in edges:
-                if lat.contains(e, i):
-                    qmask |= 1 << edge_pos[e]
-            faces.append((qmask, lat.dims[i] - 1))
-            parents[qmask] = i
+    for i in bits(lat.up[vf]):
+        qmask = sum(1 << j for j, e in enumerate(edges) if lat.down[i] >> e & 1)
+        faces.append((qmask, lat.dims[i] - 1))
+        parents[qmask] = i
     sub = FaceLattice(d - 1, faces, coords=coords)
     face_parent = tuple(parents[m] for m in sub.masks)
 
@@ -240,7 +235,7 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         lattice=sub,
         direction=direction,
         face_parent=face_parent,
-        vertex_face=lat.index[vbit],
+        vertex_face=vf,
         slopes=tuple(slopes[e] for e in edges),
         vi=vi,
     )
@@ -288,16 +283,13 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     hv = s.heights[vi]
     qheights = qv.direction.heights
 
+    vf = qv.vertex_face
     middle_parent = [
         i
-        for i in range(len(lat.masks))
-        if lat.masks[i] >> vi & 1
-        and lat.dims[i] >= 2
-        and classify_face(lat, s, vi, i) == MIDDLE
+        for i in bits(lat.up[vf])
+        if lat.dims[i] >= 2 and classify_face(lat, s, vi, i) == MIDDLE
     ]
-    two_faces = sorted(
-        (i for i in middle_parent if lat.dims[i] == 2), key=lambda i: lat.masks[i]
-    )
+    two_faces = [i for i in middle_parent if lat.dims[i] == 2]
 
     parent_to_sub = {qv.face_parent[j]: j for j in range(len(qlat.masks))}
     ambient = []
@@ -315,12 +307,9 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
 
     faces = [(0, -1)]
     # the empty face inherits {v} as its parent, matching chain maps
-    parents = {0: lat.index[1 << vi]}
+    parents = {0: vf}
     for i in middle_parent:
-        rmask = 0
-        for k, m in enumerate(two_faces):
-            if lat.contains(m, i):
-                rmask |= 1 << k
+        rmask = sum(1 << k for k, m in enumerate(two_faces) if lat.down[i] >> m & 1)
         faces.append((rmask, lat.dims[i] - 2))
         parents[rmask] = i
     sub = FaceLattice(d - 2, faces, coords=coords)
@@ -329,7 +318,7 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
         lattice=sub,
         direction=None,
         face_parent=face_parent,
-        vertex_face=lat.index[1 << vi],
+        vertex_face=vf,
         slopes=None,
         vi=vi,
     )

@@ -17,7 +17,7 @@ from math import comb
 from .errors import CrossCheckError, NotInImage
 from .exactnum import vadd, vscale, vsub
 from .flagvec import CDPolynomial, _norm_coeff, cd_index, cd_words, reverse_words
-from .polytope import FaceLattice
+from .polytope import FaceLattice, bits
 from .sweep import SweepAlgebra, SweepDirection, sweep_recursive, sweep_symmetric
 
 
@@ -106,30 +106,22 @@ def toric_h_definition(l: FaceLattice) -> tuple:
     """h(boundary of P) by the recursion
     h = sum over proper faces G of g(boundary of G) * (x-1)^(d-1-dim G),
     with g = h = 1 for the empty face, memoized face by face."""
-    order = sorted(range(len(l.masks)), key=lambda i: l.dims[i])
-    g_cache: dict[int, list] = {0: [1]}  # ascending coefficients
-    h_full: tuple | None = None
-    for fi in order:
+    g_cache: dict[int, list] = {0: [1]}  # face index -> ascending coefficients
+    h = None
+    for fi in range(1, len(l.masks)):
         k = l.dims[fi]
-        if k < 0:
-            continue
         coeffs = [0] * (k + 1)
-        for gj in order:
-            if gj == fi or not l.contains(gj, fi):
-                continue
+        for gj in bits(l.down[fi] & ~(1 << fi)):
             m = k - 1 - l.dims[gj]
             x_minus_1_pow = [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)]
-            term = _polymul(g_cache[l.masks[gj]], x_minus_1_pow)
+            term = _polymul(g_cache[gj], x_minus_1_pow)
             for i, x in enumerate(term):
                 coeffs[i] += x
         h = tuple(coeffs[k - i] for i in range(k + 1))
-        if fi == len(l.masks) - 1:
-            h_full = h
-        g = g_from_h(h)
-        g_cache[l.masks[fi]] = list(g)
-    if h_full is None:
+        g_cache[fi] = list(g_from_h(h))
+    if h is None:
         raise CrossCheckError("the lattice has no top face")
-    return normalize_vec(h_full)
+    return normalize_vec(h)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,10 @@ from .flagvec import (
     flag_h,
     subsets_of,
 )
-from .polytope import FaceLattice
+from .polytope import FaceLattice, bits
 from .sweep import (
     LOWER,
     UPPER,
-    SubPolytope,
     SweepDirection,
     choose_direction,
     classify_face,
@@ -61,17 +60,13 @@ class Block:
 
 def enumerate_chains(l: FaceLattice) -> list:
     """All chains of proper nonempty faces, including the empty chain."""
-    proper = [i for i in range(len(l.masks)) if 0 <= l.dims[i] < l.dim]
+    proper = sum(l.level.get(k, 0) for k in range(l.dim))
     chains: list[Chain] = [()]
     stack: list[Chain] = [()]
     while stack:
         ch = stack.pop()
-        last = ch[-1] if ch else None
-        for i in proper:
-            if last is not None and (
-                l.dims[i] <= l.dims[last] or not l.contains(last, i)
-            ):
-                continue
+        above = l.up[ch[-1]] & ~(1 << ch[-1]) & proper if ch else proper
+        for i in bits(above):
             ext = ch + (i,)
             chains.append(ext)
             stack.append(ext)
@@ -92,14 +87,6 @@ def _extreme_vertex(l: FaceLattice, s: SweepDirection, fi: int, want_max: bool) 
     return max(vs, key=key) if want_max else min(vs, key=key)
 
 
-def _slope(qv: SubPolytope, edge: int):
-    """Slope key of an edge at v, carried by the figure's sub-vertex on it."""
-    for j in range(qv.lattice.n_vertices):
-        if qv.face_parent[qv.lattice.by_dim[0][j]] == edge:
-            return qv.slopes[j]
-    raise KeyError(edge)
-
-
 def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     """Add the missing minimal label to a chain: a vertex of the chain's
     minimal face (extremal in height), or, when the chain already starts
@@ -115,12 +102,12 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     if rest and l.dims[rest[0]] < 2:
         raise CrossCheckError(f"chain {chain} already has a face of dimension 1")
     f2 = rest[0] if rest else full
-    edges = [
-        e for e in l.faces_at_vertex(vi, 1) if l.contains(e, f2)
-    ]
-    qv = vertex_figure(l, s, vi)
-    pick = (max if want_top else min)(edges, key=lambda e: _slope(qv, e))
-    return (chain[0], pick) + rest
+    # the figure's sub-vertex j, and its slope, is on the j-th edge at v
+    edges = l.faces_at_vertex(vi, 1)
+    inside = [j for j, e in enumerate(edges) if l.down[f2] >> e & 1]
+    slopes = vertex_figure(l, s, vi).slopes
+    pick = (max if want_top else min)(inside, key=slopes.__getitem__)
+    return (chain[0], edges[pick]) + rest
 
 
 def top_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:

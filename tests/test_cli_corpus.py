@@ -69,10 +69,10 @@ def cached_hulls():
     hulls = {}
     real = polytope.hull_lattice
 
-    def hull_lattice(v, validate=False):
-        if (v, validate) not in hulls:
-            hulls[v, validate] = real(v, validate)
-        l = hulls[v, validate]
+    def hull_lattice(v):
+        if v not in hulls:
+            hulls[v] = real(v)
+        l = hulls[v]
         return polytope.FaceLattice(l.dim, zip(l.masks, l.dims), coords=l.coords)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -13,7 +13,6 @@ from polysweep.exactnum import (
     hyperplane_through,
     null_space,
     side,
-    solve_affine_functional,
     vec,
 )
 
@@ -84,12 +83,6 @@ def test_canonical_integer_vector():
     assert canonical_integer_vector(vec(F(-1, 2), F(1, 2))) == vec(1, -1)
     assert canonical_integer_vector(vec(0, F(2, 3), F(4, 3))) == vec(0, 1, 2)
     assert canonical_integer_vector(vec(0, F(-2, 3), F(4, 3))) == vec(0, 1, -2)
-
-
-def test_solve_affine_functional():
-    pts = [vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)]
-    q, c = solve_affine_functional(pts, [F(3), F(5), F(4), F(6)])
-    assert q == vec(2, 1) and c == 3
 
 
 rationals = st.fractions(

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
-from conftest import lat
+from conftest import default_direction, lat
 from polysweep.errors import NonVertexPoint, NotFullDimensional
 from polysweep.exactnum import vec
 from polysweep.polytope import (
@@ -14,6 +14,7 @@ from polysweep.polytope import (
     vrep_from_json,
     vrep_to_json,
 )
+from polysweep.sweep import sweep_section, vertex_figure
 
 
 def cube_f_oracle(d):
@@ -111,6 +112,14 @@ def test_validate_rejects_faces_not_closed_under_intersection():
         l.validate()
 
 
+def test_validate_rejects_a_lattice_that_is_not_graded():
+    # the pentagon without its edges: the top face covers each vertex
+    l = lat("polygon:5")
+    pruned = FaceLattice(2, [(m, k) for m, k in zip(l.masks, l.dims) if k != 1])
+    with pytest.raises(ValueError, match="the lattice is not graded"):
+        pruned.validate()
+
+
 def test_edge_endpoints_rejects_a_non_edge():
     l = lat("cube:3")
     with pytest.raises(ValueError, match="is not an edge"):
@@ -187,6 +196,20 @@ def test_deleted_facet_breaks_eulerian():
     assert not ps.is_eulerian(pruned)
 
 
+def test_unbalanced_proper_interval_breaks_eulerian():
+    # the pentagon with its edge {0,1} moved to {0,2}: [empty, P] still
+    # holds 1, 5, 5, 1 faces, but [{2}, P] holds {2}, three edges and P
+    l = lat("polygon:5")
+    moved = FaceLattice(
+        2, [(0b00101 if m == 0b00011 else m, k) for m, k in zip(l.masks, l.dims)]
+    )
+    assert moved.f_vector() == (1, 5, 5, 1)
+    v2 = moved.index[0b00100]
+    above = [moved.dims[i] for i in range(len(moved)) if moved.contains(v2, i)]
+    assert above == [0, 1, 1, 1, 2]
+    assert not ps.is_eulerian(moved)
+
+
 def test_every_constructor_output_eulerian():
     for spec in (
         "simplex:3",
@@ -205,3 +228,39 @@ def test_vrep_json_roundtrip():
     obj = vrep_to_json(v)
     assert obj["vertices"][2] == ["1/2", "3/7"]
     assert vrep_from_json(obj) == v
+
+
+# builtin specs of every family named in the tests and README, dimension <= 4
+KERNEL_SPECS = (
+    "point", "segment", "simplex:2", "simplex:3", "simplex:4", "cube:2", "cube:3",
+    "cube:4", "cross:2", "cross:3", "cross:4", "polygon:3", "polygon:7",
+    "pyramid:polygon:4", "pyramid:polygon:5", "pyramid:cube:3", "prism:polygon:3",
+    "prism:polygon:6", "prism:cross:3", "product:cube:2:polygon:3",
+    "product:simplex:2:simplex:2",
+)
+
+
+def lattices_below(l, s):
+    """l, and every vertex figure and section below it, recursively."""
+    yield l
+    for vi in range(l.n_vertices):
+        if l.dim >= 1:
+            q = vertex_figure(l, s, vi)
+            yield from lattices_below(q.lattice, q.direction)
+        r = sweep_section(l, s, vi) if l.dim >= 2 else None
+        if r is not None:
+            fresh = ps.choose_direction(None, r.lattice.coords)
+            yield from lattices_below(r.lattice, fresh)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_incidence_kernel_matches_vertex_masks(spec):
+    l = lat(spec)
+    for sub in [ps.dual(l), *lattices_below(l, default_direction(spec))]:
+        n = len(sub)
+        for i in range(n):
+            assert [k for k in sub.level if sub.level[k] >> i & 1] == [sub.dims[i]]
+            for j in range(n):
+                c = sub.contains(i, j)
+                assert bool(sub.down[j] >> i & 1) == c
+                assert bool(sub.up[i] >> j & 1) == c
