@@ -1,20 +1,28 @@
-"""Exact rational scalars, vectors and the small linear-algebra kit.
+"""Exact scalars, vectors and one integer elimination kernel.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
+Scalars are Python ints where the values are integral and
+``fractions.Fraction`` otherwise (arbitrary precision, always reduced,
 positive denominator), so every sign test downstream is exact.  Vectors
-are plain tuples of Fractions.  Nothing here mutates its arguments; all
-values can be shared freely.
+are plain tuples.  Nothing here mutates its arguments; all values can
+be shared freely.
+
+The elimination is fraction-free: each row is scaled to integers by the
+lcm of its denominators, rows are combined with integer multipliers,
+and every combined row is divided by its content.  Ranks, kernel
+vectors and hyperplane normals therefore come out of integer arithmetic
+alone, and normals are primitive int tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateSpan
 
 Rational = Fraction
-QVector = tuple  # tuple[Fraction, ...]
+QVector = tuple  # tuple of ints and Fractions
 
 
 def vec(*entries) -> QVector:
@@ -25,10 +33,11 @@ def vec_from(entries) -> QVector:
     return tuple(Fraction(e) for e in entries)
 
 
-def dot(a: QVector, b: QVector) -> Fraction:
+def dot(a: QVector, b: QVector):
+    """a.b; an int when both vectors are integral."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def vsub(a: QVector, b: QVector) -> QVector:
@@ -58,39 +67,57 @@ def parse_rational(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination.
+# Fraction-free Gauss-Jordan elimination.
 
 
-def row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content;
+    a zero row stays zero."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def primitive(v: QVector) -> tuple:
+    """The positive multiple of a nonzero rational vector with integer
+    entries of content 1."""
+    ints = _integer_row(v)
+    if not any(ints):
+        raise ValueError("the zero vector has no primitive multiple")
+    return tuple(ints)
+
+
+def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan: (pivot rows, pivot columns).  Pivot row r
+    has content 1 and is zero in every pivot column except pivots[r]."""
+    m = [r for r in map(_integer_row, rows) if any(r)]
     pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
     for c in range(ncols):
+        r = len(pivots)
         if r == len(m):
             break
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return m[: len(pivots)], pivots
 
 
 def matrix_rank(rows) -> int:
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         return 0
-    _, pivots = row_echelon(rows)
-    return len(pivots)
+    return len(_eliminate(rows, len(rows[0]))[1])
 
 
 def affine_rank(points) -> int:
@@ -99,52 +126,7 @@ def affine_rank(points) -> int:
     if not points:
         raise ValueError("affine_rank of no points")
     p0 = points[0]
-    return matrix_rank([list(vsub(p, p0)) for p in points[1:]])
-
-
-def pivot_columns(rows) -> list[int]:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    _, pivots = row_echelon(rows)
-    return pivots
-
-
-def null_space(rows) -> list[QVector]:
-    """Basis of {x : Ax = 0} for the matrix with the given rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -rref[r][fc]
-        basis.append(tuple(x))
-    return basis
-
-
-def canonical_integer_vector(v: QVector) -> QVector:
-    """Scale a nonzero rational vector to integer entries, content 1,
-    first nonzero entry positive."""
-    if is_zero_vector(v):
-        raise ValueError("zero vector has no canonical form")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [x * den for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, int(x))
-    ints = [x / g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return len(_eliminate([vsub(p, p0) for p in points[1:]], len(p0))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +134,17 @@ def canonical_integer_vector(v: QVector) -> QVector:
 
 
 class Hyperplane:
-    """{x : normal.x = offset} with a canonical integer normal, so
-    hyperplanes can be deduplicated by equality."""
+    """{x : normal.x = offset}.  ``hyperplane_through`` gives the
+    canonical primitive integer normal, so hyperplanes can be
+    deduplicated by equality."""
 
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal: QVector, offset):
         if is_zero_vector(normal):
             raise ValueError("hyperplane needs a nonzero normal")
-        self.normal = tuple(Fraction(x) for x in normal)
-        self.offset = Fraction(offset)
+        self.normal = tuple(normal)
+        self.offset = offset
 
     def __eq__(self, other):
         return (
@@ -178,7 +161,9 @@ class Hyperplane:
 
 
 def hyperplane_through(points, ambient_dim: int) -> Hyperplane:
-    """The hyperplane spanned by the points, canonically scaled.
+    """The hyperplane spanned by the points.  Its normal is the primitive
+    integer vector of the one-dimensional kernel of the difference
+    matrix, first nonzero entry positive.
 
     The points must span an affine subspace of dimension ambient_dim - 1.
     """
@@ -186,19 +171,25 @@ def hyperplane_through(points, ambient_dim: int) -> Hyperplane:
     if not points:
         raise DegenerateSpan("no points")
     p0 = points[0]
-    diffs = [list(vsub(p, p0)) for p in points[1:]]
-    rank = matrix_rank(diffs)
-    if rank != ambient_dim - 1:
+    n = len(p0)
+    rows, pivots = _eliminate([vsub(p, p0) for p in points[1:]], n)
+    if len(pivots) != ambient_dim - 1:
         raise DegenerateSpan(
-            f"points span affine dimension {rank}, need {ambient_dim - 1}"
+            f"points span affine dimension {len(pivots)}, need {ambient_dim - 1}"
         )
-    if diffs:
-        kernel = null_space(diffs)
-    else:  # a single point in ambient dimension 1
-        kernel = [(Fraction(1),)]
-    if len(kernel) != 1:
-        raise ValueError(f"points of R^{len(p0)} span no hyperplane of R^{ambient_dim}")
-    normal = canonical_integer_vector(kernel[0])
+    if len(pivots) != n - 1:
+        raise ValueError(f"points of R^{n} span no hyperplane of R^{ambient_dim}")
+    # x[free] = L and x[pivot c] = -row[free] * L / row[c] solve every
+    # row; L, the lcm of the pivots, keeps them integral
+    (free,) = set(range(n)).difference(pivots)
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    x = [0] * n
+    x[free] = big
+    for row, c in zip(rows, pivots):
+        x[c] = -row[free] * (big // row[c])
+    normal = primitive(x)
+    if next(e for e in normal if e) < 0:
+        normal = tuple(-e for e in normal)
     return Hyperplane(normal, dot(normal, p0))
 
 

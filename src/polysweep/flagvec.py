@@ -34,21 +34,29 @@ class FlagVector:
 
 
 def flag_f(l: FaceLattice) -> FlagVector:
-    """f_S = number of chains of faces whose dimensions are exactly S."""
+    """f_S = number of chains of faces whose dimensions are exactly S.
+
+    The chains of S ending at each face of dimension max S extend those
+    of S minus max S, so every nonempty S costs one level step."""
     d = l.dim
     values = {frozenset(): 1}
-    for S in subsets_of(d):
+    ending: dict[int, dict] = {}  # subset mask -> face -> chains ending there
+    for mask, S in enumerate(subsets_of(d)):
         if not S:
             continue
-        levels = sorted(S)
-        cur = dict.fromkeys(l.by_dim.get(levels[0], ()), 1)
-        for lower, k in zip(levels, levels[1:]):
-            below = l.level.get(lower, 0)
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        if rest:
+            prev = ending[rest]
+            below = l.level.get(rest.bit_length() - 1, 0)
             cur = {
-                gi: sum(cur[fi] for fi in bits(l.down[gi] & below))
-                for gi in l.by_dim.get(k, ())
+                gi: sum(prev[fi] for fi in bits(l.down[gi] & below))
+                for gi in l.by_dim.get(top, ())
             }
-        values[frozenset(S)] = sum(cur.values())
+        else:
+            cur = dict.fromkeys(l.by_dim.get(top, ()), 1)
+        ending[mask] = cur
+        values[S] = sum(cur.values())
     return FlagVector(d, values)
 
 

@@ -3,8 +3,8 @@
 The hull construction is deliberately brute force: enumerate spanning
 point subsets, keep the hyperplanes with every point on one closed side,
 and close the facet vertex sets under intersection.  Its time grows with
-C(n, d) (measured: under 1 s to 16 vertices in dimension 4 or 12 in
-dimension 6; 4-5 s at 24-25 vertices in dimension 4; 107 s for cube:5).
+C(n, d) (measured: about 0.2 s at 16 vertices in dimension 4 or 12 in
+dimension 6; 2-3 s at 24-25 vertices in dimension 4; 28 s for cube:5).
 
 A lattice uses two encodings, both Python ints used as bitsets.  A face
 *is* its vertex set, a mask over vertex indices, so deduplication and
@@ -172,6 +172,12 @@ def memoized(fn):
     return wrapper
 
 
+def remember(fn, lat: FaceLattice, value) -> None:
+    """Store value as the memoized fn(lat), for a caller that knows it
+    without computing it."""
+    lat._memo[(fn.__name__,)] = value
+
+
 def hull_lattice(v: VRep) -> FaceLattice:
     """Face lattice of conv(vertices).
 
@@ -277,8 +283,9 @@ def make_polygon(n: int) -> VRep:
 
 
 def barycenter(v: VRep) -> QVector:
+    """A Fraction vector, also for int coordinates."""
     n = len(v.vertices)
-    return tuple(sum(p[j] for p in v.vertices) / n for j in range(v.dim))
+    return tuple(Fraction(sum(p[j] for p in v.vertices), n) for j in range(v.dim))
 
 
 def pyramid(p: VRep) -> VRep:
@@ -311,9 +318,10 @@ def dual(l: FaceLattice) -> FaceLattice:
 
 
 @memoized
-def facet_hyperplanes(l: FaceLattice) -> list[tuple[QVector, Fraction]]:
+def facet_hyperplanes(l: FaceLattice) -> list[tuple[tuple, object]]:
     """Outward (normal, offset) per facet, in facet mask order:
-    normal.x <= offset on the polytope, equality exactly on the facet."""
+    normal.x <= offset on the polytope, equality exactly on the facet.
+    The normal is a primitive int tuple."""
     if l.coords is None:
         raise ValueError("facet_hyperplanes needs a lattice with vertex coordinates")
     pts = l.coords.vertices

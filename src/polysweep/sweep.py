@@ -10,12 +10,19 @@ vertex v the machinery builds
 * the section: the vertex figure sliced by the sweep hyperplane through
   v, whose faces are the faces that v neither tops nor bottoms.
 
-Both carry exact projected coordinates so the construction can recurse.
+Both carry exact integer coordinates so the construction can recurse.
 The depth of the cut never matters: every comparison the recursion makes
 is decided by vertex heights and edge slopes.  Both cuts are in closed
 form: the points lie on a known hyperplane, so dropping one coordinate
 projects them injectively, and the sweep functional restricted to that
-hyperplane is the induced direction.
+hyperplane is the induced direction.  A figure's points are then
+translated to put v at the origin, and both are scaled by their common
+denominator, which changes no sign test: the induced functional is
+divided by the same factor, so heights stay as they were.  The facets of
+a figure or section are cut from facets of the polytope above it, so
+their normals are inherited: the parent's outward normal restricted to
+the cut plane, made primitive.  No elimination runs for them; only the
+lattices built by ``hull_lattice`` eliminate for their facets.
 
 The recursion sweeps every vertex of the polytope it is given, because
 each per-vertex part is reported.  Inside a vertex figure only the
@@ -30,11 +37,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
-from .exactnum import QVector, affine_rank, dot, vsub
+from .exactnum import QVector, affine_rank, dot, primitive, vsub
 from .flagvec import CDPolynomial, cd_index
-from .polytope import FaceLattice, VRep, bits, facet_hyperplanes, memoized
+from .polytope import (
+    FaceLattice,
+    VRep,
+    bits,
+    facet_hyperplanes,
+    memoized,
+    remember,
+)
 
 UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
 
@@ -143,8 +158,7 @@ def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNorma
     d = lat.dim
     for t in range(1, 10000):
         a = tuple(
-            sum(Fraction(t) ** j * n[k] for j, n in enumerate(normals))
-            for k in range(d)
+            sum(t**j * n[k] for j, n in enumerate(normals)) for k in range(d)
         )
         av = dot(a, pts[vi])
         if any(dot(a, pts[w]) >= av for w in range(len(pts)) if w != vi):
@@ -160,8 +174,9 @@ def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNorma
 def _cut(normal: QVector) -> tuple[list[int], int]:
     """(kept columns, dropped column k) for points on a hyperplane with
     this normal: k is the last coordinate with normal[k] != 0, which is
-    the column pivot_columns leaves out for any point set spanning the
-    hyperplane, and dropping it projects the hyperplane injectively."""
+    the one non-pivot column of the echelon form of any point set
+    spanning the hyperplane, and dropping it projects the hyperplane
+    injectively."""
     k = max(i for i, x in enumerate(normal) if x != 0)
     return [i for i in range(len(normal)) if i != k], k
 
@@ -169,26 +184,49 @@ def _cut(normal: QVector) -> tuple[list[int], int]:
 def _restrict(p: QVector, normal: QVector, cols: list, k: int) -> QVector:
     """The linear part of p on the hyperplane normal.y = b, in the kept
     coordinates: p.y = q.y[cols] + (p_k / normal_k) b."""
-    r = p[k] / normal[k]
+    r = Fraction(p[k], normal[k])
     return tuple(p[i] - r * normal[i] for i in cols)
 
 
-def _project(points: list, cols: list, dim: int) -> VRep:
-    """The points restricted to the kept columns; they must span dim."""
-    proj = tuple(tuple(y[i] for i in cols) for y in points)
+def _project(points: list, cols: list, dim: int) -> tuple[VRep, int]:
+    """(the points restricted to the kept columns and scaled by m, m),
+    with m the lcm of their denominators, so the coordinates are ints.
+    The points must span dim."""
+    m = lcm(*(y[i].denominator for y in points for i in cols))
+    proj = tuple(
+        tuple(y[i].numerator * (m // y[i].denominator) for i in cols) for y in points
+    )
     if affine_rank(proj) != dim:
         raise CrossCheckError(f"the cut points do not span dimension {dim}")
-    return VRep(dim, proj)
+    return VRep(dim, proj), m
+
+
+def _inherit_facets(sub: FaceLattice, parent: FaceLattice, face_parent, plane, cols, k):
+    """Fill sub's facet_hyperplanes memo without elimination.  Facet i
+    of sub is cut from the facet face_parent[i] of parent by the plane
+    with normal ``plane``; the parent's outward normal restricted to that
+    plane, made primitive, is sub's outward normal, because restriction
+    changes a functional on the plane only by a constant and the
+    projection and scaling are positive."""
+    hyps = facet_hyperplanes(parent)
+    first = parent.by_dim[parent.dim - 1][0]
+    ys = sub.coords.vertices
+    out = []
+    for fi in sub.by_dim[sub.dim - 1]:
+        normal = primitive(_restrict(hyps[face_parent[fi] - first][0], plane, cols, k))
+        out.append((normal, dot(normal, ys[next(bits(sub.masks[fi]))])))
+    remember(facet_hyperplanes, sub, out)
 
 
 @memoized
 def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
-    """The vertex figure at vi, with exact coordinates and the induced
-    sweep direction.
+    """The vertex figure at vi, with integer coordinates, the induced
+    sweep direction and the facet normals inherited from lat.
 
     Sub-vertex j sits on the j-th edge at v (edges in mask order) where
     it crosses the plane a.x = a.v - 1; its induced height is
-    height(v) + slope(edge).  The figure's faces are the faces
+    height(v) + slope(edge).  The coordinates are those points minus v,
+    projected and scaled to integers.  The figure's faces are the faces
     containing v, with dimension dropped by one.
     """
     d = lat.dim
@@ -200,16 +238,15 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     vf = lat.index[1 << vi]
     edges = _edges_at(lat, vi)
 
-    ambient = []
+    # sub-vertex j is v + rays[j], on the cut plane n.a . y = n.a . v - 1
+    v = pts[vi]
+    rays = []
     for e in edges:
-        wi = _other_endpoint(lat, e, vi)
-        t = 1 / dot(n.a, vsub(pts[vi], pts[wi]))
-        ambient.append(
-            tuple(pts[vi][k] + t * (pts[wi][k] - pts[vi][k]) for k in range(d))
-        )
-    # the cut plane is n.a . y = n.a . v - 1
+        w = pts[_other_endpoint(lat, e, vi)]
+        t = dot(n.a, vsub(v, w))
+        rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
     cols, k = _cut(n.a)
-    coords = _project(ambient, cols, d - 1)
+    coords, scale = _project(rays, cols, d - 1)
 
     faces = []
     parents = {}
@@ -219,11 +256,14 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         parents[qmask] = i
     sub = FaceLattice(d - 1, faces, coords=coords)
     face_parent = tuple(parents[m] for m in sub.masks)
+    if d >= 2:
+        _inherit_facets(sub, lat, face_parent, n.a, cols, k)
 
     heights = tuple(s.heights[vi] + slopes[e] for e in edges)
-    # the induced direction is s.p restricted to the cut plane; that the
-    # heights from the slopes are affine in it checks the projection
-    q = _restrict(s.p, n.a, cols, k)
+    # the induced direction is s.p restricted to the cut plane, over the
+    # scale; that the heights from the slopes are affine in it checks
+    # the projection
+    q = tuple(x / scale for x in _restrict(s.p, n.a, cols, k))
     ys = coords.vertices
     offset = heights[0] - dot(q, ys[0])
     if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
@@ -302,8 +342,8 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
         y1, y2 = qlat.coords.vertices[j1], qlat.coords.vertices[j2]
         ambient.append(tuple(y2[k] + lam * (y1[k] - y2[k]) for k in range(d - 1)))
     # the section lies on the level set of the figure's direction
-    cols, _ = _cut(qv.direction.p)
-    coords = _project(ambient, cols, d - 2)
+    cols, k = _cut(qv.direction.p)
+    coords, _ = _project(ambient, cols, d - 2)
 
     faces = [(0, -1)]
     # the empty face inherits {v} as its parent, matching chain maps
@@ -314,6 +354,9 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
         parents[rmask] = i
     sub = FaceLattice(d - 2, faces, coords=coords)
     face_parent = tuple(parents[m] for m in sub.masks)
+    if d >= 3:
+        in_figure = [parent_to_sub[i] for i in face_parent]
+        _inherit_facets(sub, qlat, in_figure, qv.direction.p, cols, k)
     return SubPolytope(
         lattice=sub,
         direction=None,

@@ -105,18 +105,24 @@ def _polymul(a: list, b: list) -> list:
 def toric_h_definition(l: FaceLattice) -> tuple:
     """h(boundary of P) by the recursion
     h = sum over proper faces G of g(boundary of G) * (x-1)^(d-1-dim G),
-    with g = h = 1 for the empty face, memoized face by face."""
+    with g = h = 1 for the empty face, memoized face by face.  The
+    factor depends on G only through dim G, so the g of the faces of
+    each dimension are summed first."""
+    x_minus_1 = [
+        [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)] for m in range(l.dim + 1)
+    ]
     g_cache: dict[int, list] = {0: [1]}  # face index -> ascending coefficients
     h = None
     for fi in range(1, len(l.masks)):
         k = l.dims[fi]
         coeffs = [0] * (k + 1)
-        for gj in bits(l.down[fi] & ~(1 << fi)):
-            m = k - 1 - l.dims[gj]
-            x_minus_1_pow = [(-1) ** (m - i) * comb(m, i) for i in range(m + 1)]
-            term = _polymul(g_cache[gj], x_minus_1_pow)
-            for i, x in enumerate(term):
-                coeffs[i] += x
+        for j in range(-1, k):
+            # faces of one dimension have g-vectors of one length
+            same_dim = [g_cache[gj] for gj in bits(l.down[fi] & l.level.get(j, 0))]
+            if same_dim:
+                g_sum = [sum(c) for c in zip(*same_dim)]
+                for i, x in enumerate(_polymul(g_sum, x_minus_1[k - 1 - j])):
+                    coeffs[i] += x
         h = tuple(coeffs[k - i] for i in range(k + 1))
         g_cache[fi] = list(g_from_h(h))
     if h is None:

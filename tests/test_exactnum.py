@@ -1,19 +1,22 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_rref import canonical_integer_vector, null_space
+from fraction_rref import matrix_rank as fraction_rank
 from polysweep.errors import DegenerateSpan
 from polysweep.exactnum import (
     Hyperplane,
     affine_rank,
-    canonical_integer_vector,
     dot,
     hyperplane_through,
-    null_space,
+    matrix_rank,
+    primitive,
     side,
     vec,
+    vsub,
 )
 
 
@@ -94,3 +97,50 @@ rationals = st.fractions(
 def test_rational_arithmetic_exact(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """(ncols, rows): rational combinations of ncols - 2 to ncols random
+    rows, with repeated rows and zero rows mixed in."""
+    n = draw(st.integers(2, 5))
+    basis = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                          min_size=max(n - 2, 0), max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(1, n + 2))):
+        coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum((c * b[i] for c, b in zip(coeffs, basis)), F(0)) for i in range(n)])
+    extra = draw(st.lists(st.sampled_from(rows), max_size=2))
+    zeros = [[F(0)] * n] * draw(st.integers(0, 1))
+    order = draw(st.permutations(rows + extra + zeros))
+    return n, list(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_rows(), st.lists(small, min_size=5, max_size=5))
+def test_integer_kernel_matches_the_fraction_oracle(case, offset):
+    n, rows = case
+    rank = fraction_rank(rows)
+    assert matrix_rank(rows) == rank
+    p0 = tuple(offset[:n])
+    points = [p0] + [tuple(x + y for x, y in zip(p0, r)) for r in rows]
+    assert affine_rank(points) == rank
+    if rank != n - 1:
+        with pytest.raises(DegenerateSpan):
+            hyperplane_through(points, n)
+        return
+    h = hyperplane_through(points, n)
+    (kernel,) = null_space([vsub(p, p0) for p in points[1:]])
+    assert h.normal == canonical_integer_vector(kernel)
+    assert all(type(x) is int for x in h.normal)
+    assert h.offset == dot(h.normal, p0)
+
+
+def test_primitive_keeps_the_direction():
+    assert primitive((F(-1, 2), F(3, 4), 0)) == (-2, 3, 0)
+    assert primitive((6, -4)) == (3, -2)
+    with pytest.raises(ValueError):
+        primitive((F(0), 0))

@@ -6,6 +6,7 @@ import pytest
 import polysweep as ps
 from conftest import lat
 from polysweep.errors import NotCDExpressible
+from polysweep.truncpartition import enumerate_chains
 from polysweep.flagvec import (
     ABPolynomial,
     CDPolynomial,
@@ -35,6 +36,21 @@ def brute_force_chain_count(l, S):
         if all(l.contains(combo[i], combo[i + 1]) for i in range(len(combo) - 1)):
             count += 1
     return count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["simplex:0", "cube:1", "polygon:5", "cube:3", "cross:3", "pyramid:polygon:4",
+     "cube:4", "cross:4", "prism:cross:3", "product:simplex:2:simplex:2",
+     "simplex:5", "cross:5"],
+)
+def test_flag_f_counts_the_chains(spec):
+    """Oracle: group every chain of proper faces by its dimension set."""
+    l = lat(spec)
+    counts = dict.fromkeys(subsets_of(l.dim), 0)
+    for ch in enumerate_chains(l):
+        counts[frozenset(l.dims[i] for i in ch)] += 1
+    assert flag_f(l).values == counts
 
 
 def test_flag_f_pentagon():

@@ -10,8 +10,10 @@ import polysweep.truncpartition as partition_mod
 from conftest import default_direction, lat
 from polysweep.cli import parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
-from polysweep.exactnum import matrix_rank, pivot_columns, vsub
+from fraction_rref import pivot_columns
+from polysweep.exactnum import matrix_rank, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
+from polysweep.polytope import facet_hyperplanes
 from polysweep.sweep import (
     MIDDLE,
     UPPER,
@@ -462,6 +464,44 @@ def test_closed_form_cut_matches_elimination(case, p):
     for y in points:
         restricted = ps.dot(q, tuple(y[i] for i in cols)) + p[k] / normal[k] * b
         assert restricted == ps.dot(p, y)
+
+
+def check_integer_geometry(l, s, seen):
+    """Every vertex figure below (l, s), and every section, recursively:
+    int coordinates, and inherited facet hyperplanes equal to those
+    recomputed by elimination on the sub-polytope's own coordinates."""
+    for vi in range(l.n_vertices):
+        subs = [(vertex_figure(l, s, vi), None)]
+        if l.dim >= 2 and not sweep_mod.is_extreme(l, s, vi):
+            rv = sweep_section(l, s, vi)
+            subs.append((rv, ps.choose_direction(None, rv.lattice.coords)))
+        for sub, fresh in subs:
+            q = sub.lattice
+            ys = q.coords.vertices
+            assert all(type(x) is int for y in ys for x in y)
+            if q.dim >= 1:
+                inherited = facet_hyperplanes(q)
+                bare = ps.FaceLattice(q.dim, zip(q.masks, q.dims), coords=q.coords)
+                assert inherited == facet_hyperplanes(bare)
+                for fi, (normal, offset) in zip(q.by_dim[q.dim - 1], inherited):
+                    on = [ps.dot(normal, y) == offset for y in ys]
+                    assert on == [bool(q.masks[fi] >> j & 1) for j in range(len(ys))]
+                    assert all(ps.dot(normal, y) <= offset for y in ys)
+                seen.append(q.dim)
+                check_integer_geometry(q, fresh or sub.direction, seen)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["polygon:5", "cube:3", "cross:3", "pyramid:polygon:4", "prism:polygon:5",
+     "cube:4", "cross:4", "simplex:4", "pyramid:cube:3", "prism:cross:3",
+     "product:simplex:2:simplex:2"],
+)
+def test_figures_are_integral_and_inherit_their_facets(spec):
+    l = ps.hull_lattice(parse_input(spec))
+    seen = []
+    check_integer_geometry(l, ps.choose_direction(None, l.coords), seen)
+    assert seen and min(seen) == 1
 
 
 def test_cut_rejects_a_zero_normal_and_points_that_do_not_span():

@@ -145,6 +145,33 @@ def test_toric_definition_route():
     assert toric_h_definition(lat("simplex:0")) == (1,)
 
 
+def toric_h_per_pair(l):
+    """Oracle: the definition with one (x-1)^m product per pair G < F."""
+    from math import comb
+
+    g_cache = {0: [1]}
+    h = None
+    for fi in range(1, len(l.masks)):
+        k = l.dims[fi]
+        coeffs = [0] * (k + 1)
+        for gj in range(fi):
+            if not l.contains(gj, fi):
+                continue
+            m = k - 1 - l.dims[gj]
+            for i, x in enumerate(g_cache[gj]):
+                for j in range(m + 1):
+                    coeffs[i + j] += x * (-1) ** (m - j) * comb(m, j)
+        h = tuple(coeffs[k - i] for i in range(k + 1))
+        g_cache[fi] = list(g_from_h(h))
+    return h
+
+
+@pytest.mark.parametrize("spec", ["cross:5", "cube:4", "prism:cross:3"])
+def test_toric_definition_sums_by_dimension_like_per_pair(spec):
+    l = lat(spec)
+    assert toric_h_definition(l) == toric_h_per_pair(l)
+
+
 def test_square_pyramid_two_routes_agree():
     l = lat("pyramid:polygon:4")
     by_def = toric_h_definition(l)
