@@ -19,12 +19,10 @@ from .errors import (
     PolysweepError,
 )
 from .exactnum import (
-    Hyperplane,
     Rational,
     affine_rank,
     dot,
     hyperplane_through,
-    side,
     vec,
 )
 from .flagvec import (

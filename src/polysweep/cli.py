@@ -58,7 +58,7 @@ def parse_input(spec: str) -> VRep:
     if os.path.exists(spec) or spec.endswith(".json"):
         try:
             return load_vrep(spec)
-        except (OSError, ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
             raise InputError(f"cannot read polytope file {spec!r}: {e}") from e
     vrep, rest = _parse_spec(spec.split(":"))
     if rest:
@@ -108,7 +108,7 @@ def _parse_spec(tokens: list) -> tuple[VRep, list]:
 def parse_direction(text: str):
     try:
         return tuple(Fraction(x.strip()) for x in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InputError(f"bad direction {text!r}") from None
 
 
@@ -166,10 +166,8 @@ def cmd_cdindex(lat: FaceLattice, args) -> dict:
         per, total = cd_sweep(lat, s, deep=args.deep_sweep)
         if args.deep_sweep and total != cd_index(lat):
             raise CrossCheckError("deep sweep disagrees with flag route")
-    elif method == "symmetric":
-        per, total = cd_sweep_symmetric(lat, s)
     else:
-        raise InputError(f"cdindex has no method {method!r}")
+        per, total = cd_sweep_symmetric(lat, s)
     return {
         "method": method,
         "cd": total.to_json(),
@@ -183,8 +181,6 @@ def cmd_toric(lat: FaceLattice, args) -> dict:
         return {"method": method, "toric": _fmt_vec(toric_h_definition(lat))}
     if method == "cd":
         return {"method": method, "toric": _fmt_vec(toric_from_cd(cd_index(lat)))}
-    if method not in ("sweep", "symmetric"):
-        raise InputError(f"toric has no method {method!r}")
     # sweeping a polytope accumulates the toric h-vector of its dual, so
     # sweep the polar dual to get the input's own vector
     polar = polar_lattice(lat)

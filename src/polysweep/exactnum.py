@@ -53,10 +53,6 @@ def vscale(c, a: QVector) -> QVector:
     return tuple(c * x for x in a)
 
 
-def is_zero_vector(a: QVector) -> bool:
-    return all(x == 0 for x in a)
-
-
 def format_rational(x: Fraction) -> str:
     """"p/q" or plain "p" for integers."""
     return str(x)
@@ -133,37 +129,11 @@ def affine_rank(points) -> int:
 # Hyperplanes.
 
 
-class Hyperplane:
-    """{x : normal.x = offset}.  ``hyperplane_through`` gives the
-    canonical primitive integer normal, so hyperplanes can be
-    deduplicated by equality."""
-
-    __slots__ = ("normal", "offset")
-
-    def __init__(self, normal: QVector, offset):
-        if is_zero_vector(normal):
-            raise ValueError("hyperplane needs a nonzero normal")
-        self.normal = tuple(normal)
-        self.offset = offset
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hyperplane)
-            and self.normal == other.normal
-            and self.offset == other.offset
-        )
-
-    def __hash__(self):
-        return hash((self.normal, self.offset))
-
-    def __repr__(self):
-        return f"Hyperplane(normal={self.normal}, offset={self.offset})"
-
-
-def hyperplane_through(points, ambient_dim: int) -> Hyperplane:
-    """The hyperplane spanned by the points.  Its normal is the primitive
-    integer vector of the one-dimensional kernel of the difference
-    matrix, first nonzero entry positive.
+def hyperplane_through(points, ambient_dim: int) -> tuple[tuple, object]:
+    """(normal, offset) of the hyperplane {x : normal.x = offset} spanned
+    by the points.  The normal is the primitive integer vector of the
+    one-dimensional kernel of the difference matrix, first nonzero entry
+    positive, so equal hyperplanes give equal pairs.
 
     The points must span an affine subspace of dimension ambient_dim - 1.
     """
@@ -190,10 +160,4 @@ def hyperplane_through(points, ambient_dim: int) -> Hyperplane:
     normal = primitive(x)
     if next(e for e in normal if e) < 0:
         normal = tuple(-e for e in normal)
-    return Hyperplane(normal, dot(normal, p0))
-
-
-def side(h: Hyperplane, x: QVector) -> int:
-    """Sign of normal.x - offset: +1, 0 or -1."""
-    s = dot(h.normal, x) - h.offset
-    return (s > 0) - (s < 0)
+    return normal, dot(normal, p0)

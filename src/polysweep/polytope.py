@@ -31,7 +31,6 @@ from .exactnum import (
     format_rational,
     hyperplane_through,
     parse_rational,
-    side,
     vec_from,
 )
 
@@ -71,11 +70,17 @@ class FaceLattice:
     (both include i itself, and ``down[i]`` has no bit above i), and
     ``level[k]`` has the faces of dimension k.  So the interval [i, j]
     is ``up[i] & down[j]`` and the faces at vertex v of dimension k are
-    ``up[{v}] & level[k]``.  Immutable after construction, apart from
-    its memo (see ``memoized``).
+    ``up[{v}] & level[k]``.
+
+    ``facets`` maps each facet mask, in mask order, to the facet's
+    outward hyperplane (normal, offset): normal.x <= offset on the
+    polytope, with equality exactly on the facet.  ``hull_lattice`` and
+    the cuts in ``sweep`` supply it with the coordinates; it is None on
+    a lattice built without them.  Immutable after construction, apart
+    from its memo (see ``memoized``).
     """
 
-    def __init__(self, dim: int, faces, coords: VRep | None = None):
+    def __init__(self, dim: int, faces, coords: VRep | None = None, facets=None):
         pairs = sorted(set(faces), key=lambda t: (t[1], t[0]))
         self.dim = dim
         self.masks = tuple(m for m, _ in pairs)
@@ -108,6 +113,12 @@ class FaceLattice:
         self.up, self.down = tuple(up), tuple(down)
         self.full_mask = self.masks[-1]
         self.n_vertices = len(self.by_dim.get(0, ()))
+        if facets is not None:
+            top = [self.masks[i] for i in self.by_dim.get(dim - 1, ())]
+            if sorted(facets) != top:
+                raise ValueError("the hyperplanes are not one per facet")
+            facets = {m: facets[m] for m in top}
+        self.facets = facets
         self._memo: dict = {}
 
     def __len__(self):
@@ -172,12 +183,6 @@ def memoized(fn):
     return wrapper
 
 
-def remember(fn, lat: FaceLattice, value) -> None:
-    """Store value as the memoized fn(lat), for a caller that knows it
-    without computing it."""
-    lat._memo[(fn.__name__,)] = value
-
-
 def hull_lattice(v: VRep) -> FaceLattice:
     """Face lattice of conv(vertices).
 
@@ -196,7 +201,7 @@ def hull_lattice(v: VRep) -> FaceLattice:
         return FaceLattice(0, [(0, -1), (1, 0)], coords=v)
 
     full = (1 << n) - 1
-    facet_masks: set[int] = set()
+    facets: dict[int, tuple] = {}  # facet mask -> outward (normal, offset)
     seen = set()
     for subset in itertools.combinations(range(n), d):
         try:
@@ -206,9 +211,14 @@ def hull_lattice(v: VRep) -> FaceLattice:
         if h in seen:
             continue
         seen.add(h)
-        sides = [side(h, p) for p in pts]
-        if all(s >= 0 for s in sides) or all(s <= 0 for s in sides):
-            facet_masks.add(sum(1 << i for i, s in enumerate(sides) if s == 0))
+        normal, offset = h
+        gaps = [dot(normal, p) - offset for p in pts]
+        if min(gaps) >= 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        elif max(gaps) > 0:
+            continue
+        facets[sum(1 << i for i, g in enumerate(gaps) if g == 0)] = (normal, offset)
+    facet_masks = facets.keys()
 
     for i in range(n):
         meet = full
@@ -235,7 +245,7 @@ def hull_lattice(v: VRep) -> FaceLattice:
             return -1
         return affine_rank([pts[i] for i in bits(mask)])
 
-    return FaceLattice(d, [(m, face_dim(m)) for m in faces], coords=v)
+    return FaceLattice(d, [(m, face_dim(m)) for m in faces], coords=v, facets=facets)
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +327,27 @@ def dual(l: FaceLattice) -> FaceLattice:
     return FaceLattice(l.dim, dfaces, coords=None)
 
 
-@memoized
 def facet_hyperplanes(l: FaceLattice) -> list[tuple[tuple, object]]:
-    """Outward (normal, offset) per facet, in facet mask order:
-    normal.x <= offset on the polytope, equality exactly on the facet.
-    The normal is a primitive int tuple."""
-    if l.coords is None:
-        raise ValueError("facet_hyperplanes needs a lattice with vertex coordinates")
-    pts = l.coords.vertices
-    out = []
-    for fi in l.by_dim.get(l.dim - 1, ()):
-        h = hyperplane_through([pts[i] for i in l.vertices_of(fi)], l.dim)
-        normal, offset = h.normal, h.offset
-        outside = next(
-            i for i in range(len(pts)) if not l.masks[fi] >> i & 1
+    """The stored outward (normal, offset) per facet, in facet mask
+    order: normal.x <= offset on the polytope, equality exactly on the
+    facet.  The normal is a primitive int tuple."""
+    if l.facets is None:
+        raise ValueError(
+            "facet_hyperplanes needs a lattice with vertex coordinates "
+            "and the hyperplanes of its facets"
         )
-        if dot(normal, pts[outside]) > offset:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        out.append((normal, offset))
-    return out
+    return list(l.facets.values())
 
 
 def polar_dual(l: FaceLattice) -> VRep:
     """Exact polar dual geometry, one vertex per facet (in facet mask
     order, matching dual(l)'s vertex indexing).  The polytope is first
-    translated to put its vertex barycenter at the origin."""
+    translated to put its vertex barycenter at the origin.  The polar of
+    a point is the point ()."""
     if l.coords is None:
         raise ValueError("polar_dual needs a lattice with vertex coordinates")
+    if l.dim == 0:
+        return VRep(0, ((),))
     z = barycenter(l.coords)
     verts = []
     for normal, offset in facet_hyperplanes(l):

@@ -18,11 +18,14 @@ projects them injectively, and the sweep functional restricted to that
 hyperplane is the induced direction.  A figure's points are then
 translated to put v at the origin, and both are scaled by their common
 denominator, which changes no sign test: the induced functional is
-divided by the same factor, so heights stay as they were.  The facets of
-a figure or section are cut from facets of the polytope above it, so
-their normals are inherited: the parent's outward normal restricted to
-the cut plane, made primitive.  No elimination runs for them; only the
-lattices built by ``hull_lattice`` eliminate for their facets.
+divided by the same factor, so heights stay as they were.  One routine,
+``_slice``, makes both: a figure is the polytope sliced across the edges
+at v, a section is the figure sliced across its edges that cross
+height(v).  The facets of a slice are cut from facets of the polytope
+above it, so their normals are inherited: the parent's outward normal
+restricted to the cut plane, made primitive.  No elimination runs for
+them; only ``hull_lattice`` eliminates, and it keeps the hyperplane of
+each facet it finds.
 
 The recursion sweeps every vertex of the polytope it is given, because
 each per-vertex part is reported.  Inside a vertex figure only the
@@ -48,7 +51,6 @@ from .polytope import (
     bits,
     facet_hyperplanes,
     memoized,
-    remember,
 )
 
 UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
@@ -87,7 +89,7 @@ class SubPolytope:
     and the map back to the parent's faces."""
 
     lattice: FaceLattice
-    direction: SweepDirection | None  # induced for figures, fresh for sections
+    direction: SweepDirection  # induced for figures, the ladder's for sections
     face_parent: tuple  # sub-face index -> parent face index
     vertex_face: int  # parent index of the face {v}
     slopes: tuple | None  # per sub-vertex, vertex figures only
@@ -201,21 +203,34 @@ def _project(points: list, cols: list, dim: int) -> tuple[VRep, int]:
     return VRep(dim, proj), m
 
 
-def _inherit_facets(sub: FaceLattice, parent: FaceLattice, face_parent, plane, cols, k):
-    """Fill sub's facet_hyperplanes memo without elimination.  Facet i
-    of sub is cut from the facet face_parent[i] of parent by the plane
-    with normal ``plane``; the parent's outward normal restricted to that
-    plane, made primitive, is sub's outward normal, because restriction
-    changes a functional on the plane only by a constant and the
-    projection and scaling are positive."""
-    hyps = facet_hyperplanes(parent)
-    first = parent.by_dim[parent.dim - 1][0]
-    ys = sub.coords.vertices
-    out = []
-    for fi in sub.by_dim[sub.dim - 1]:
-        normal = primitive(_restrict(hyps[face_parent[fi] - first][0], plane, cols, k))
-        out.append((normal, dot(normal, ys[next(bits(sub.masks[fi]))])))
-    remember(facet_hyperplanes, sub, out)
+def _slice(lat: FaceLattice, edges, faces, points, plane):
+    """(sub-lattice, face map, scale) of the slice of lat by a hyperplane
+    with normal ``plane`` that crosses edge ``edges[j]`` at
+    ``points[j]`` and meets the faces in ``faces``; the one face listed
+    that holds no cut edge becomes the empty face.
+
+    Sub-vertex j is the cut of edges[j]; a met face becomes the set of
+    its cut edges, one dimension lower.  The points are projected and
+    scaled to integers.  A facet of the slice is cut from a facet of lat,
+    and its outward normal is that facet's restricted to the plane, made
+    primitive: restriction changes a functional on the plane only by a
+    constant, and the projection and scaling are positive.
+    """
+    dim = lat.dim - 1
+    cols, k = _cut(plane)
+    coords, scale = _project(points, cols, dim)
+    ys = coords.vertices
+    sub_faces, parents = [], {}
+    facets = {} if dim >= 1 else None
+    for i in faces:
+        mask = sum(1 << j for j, e in enumerate(edges) if lat.down[i] >> e & 1)
+        sub_faces.append((mask, lat.dims[i] - 1 if mask else -1))
+        parents[mask] = i
+        if facets is not None and lat.dims[i] == lat.dim - 1:
+            normal = primitive(_restrict(lat.facets[lat.masks[i]][0], plane, cols, k))
+            facets[mask] = (normal, dot(normal, ys[next(bits(mask))]))
+    sub = FaceLattice(dim, sub_faces, coords=coords, facets=facets)
+    return sub, tuple(parents[m] for m in sub.masks), scale
 
 
 @memoized
@@ -245,26 +260,14 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         w = pts[_other_endpoint(lat, e, vi)]
         t = dot(n.a, vsub(v, w))
         rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
-    cols, k = _cut(n.a)
-    coords, scale = _project(rays, cols, d - 1)
-
-    faces = []
-    parents = {}
-    for i in bits(lat.up[vf]):
-        qmask = sum(1 << j for j, e in enumerate(edges) if lat.down[i] >> e & 1)
-        faces.append((qmask, lat.dims[i] - 1))
-        parents[qmask] = i
-    sub = FaceLattice(d - 1, faces, coords=coords)
-    face_parent = tuple(parents[m] for m in sub.masks)
-    if d >= 2:
-        _inherit_facets(sub, lat, face_parent, n.a, cols, k)
+    sub, face_parent, scale = _slice(lat, edges, list(bits(lat.up[vf])), rays, n.a)
 
     heights = tuple(s.heights[vi] + slopes[e] for e in edges)
     # the induced direction is s.p restricted to the cut plane, over the
     # scale; that the heights from the slopes are affine in it checks
     # the projection
-    q = tuple(x / scale for x in _restrict(s.p, n.a, cols, k))
-    ys = coords.vertices
+    q = tuple(x / scale for x in _restrict(s.p, n.a, *_cut(n.a)))
+    ys = sub.coords.vertices
     offset = heights[0] - dot(q, ys[0])
     if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
         raise CrossCheckError(
@@ -308,10 +311,12 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     """The vertex figure cut by the sweep hyperplane through v; None
     when v is the global minimum or maximum.
 
-    Sub-vertex k sits inside the k-th middle 2-face at v (in mask
-    order), at the exact point of the figure's edge with height equal to
-    height(v).  Faces are the middle faces at v, dimension dropped by
-    two.
+    The cut meets the faces of the figure Q with sub-vertices on both
+    sides of height(v), which are the middle faces at v.  Sub-vertex k
+    is where the k-th edge of Q crossing height(v) does so, edges in the
+    mask order of their parent 2-faces.  Faces are the middle faces at
+    v, dimension dropped by two.  The section's direction is the ladder
+    direction on its own coordinates, since the sweep is constant on it.
     """
     d = lat.dim
     if d < 2:
@@ -319,49 +324,28 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     if is_extreme(lat, s, vi):
         return None
     qv = vertex_figure(lat, s, vi)
-    qlat = qv.lattice
+    q, qheights = qv.lattice, qv.direction.heights
     hv = s.heights[vi]
-    qheights = qv.direction.heights
 
-    vf = qv.vertex_face
-    middle_parent = [
-        i
-        for i in bits(lat.up[vf])
-        if lat.dims[i] >= 2 and classify_face(lat, s, vi, i) == MIDDLE
-    ]
-    two_faces = [i for i in middle_parent if lat.dims[i] == 2]
-
-    parent_to_sub = {qv.face_parent[j]: j for j in range(len(qlat.masks))}
-    ambient = []
-    for m in two_faces:
-        qedge = parent_to_sub[m]
-        j1, j2 = qlat.edge_endpoints(qedge)
+    # sub-vertex heights differ from hv by a nonzero slope
+    above = sum(1 << j for j, h in enumerate(qheights) if h > hv)
+    met = [i for i, m in enumerate(q.masks) if m & above and m & ~above]
+    crossing = sorted((i for i in met if q.dims[i] == 1), key=qv.face_parent.__getitem__)
+    points = []
+    for e in crossing:
+        j1, j2 = q.edge_endpoints(e)
         if qheights[j1] < qheights[j2]:
             j1, j2 = j2, j1  # j1 above, j2 below
         lam = (hv - qheights[j2]) / (qheights[j1] - qheights[j2])
-        y1, y2 = qlat.coords.vertices[j1], qlat.coords.vertices[j2]
-        ambient.append(tuple(y2[k] + lam * (y1[k] - y2[k]) for k in range(d - 1)))
-    # the section lies on the level set of the figure's direction
-    cols, k = _cut(qv.direction.p)
-    coords, _ = _project(ambient, cols, d - 2)
-
-    faces = [(0, -1)]
-    # the empty face inherits {v} as its parent, matching chain maps
-    parents = {0: vf}
-    for i in middle_parent:
-        rmask = sum(1 << k for k, m in enumerate(two_faces) if lat.down[i] >> m & 1)
-        faces.append((rmask, lat.dims[i] - 2))
-        parents[rmask] = i
-    sub = FaceLattice(d - 2, faces, coords=coords)
-    face_parent = tuple(parents[m] for m in sub.masks)
-    if d >= 3:
-        in_figure = [parent_to_sub[i] for i in face_parent]
-        _inherit_facets(sub, qlat, in_figure, qv.direction.p, cols, k)
+        y1, y2 = q.coords.vertices[j1], q.coords.vertices[j2]
+        points.append(tuple(b + lam * (a - b) for a, b in zip(y1, y2)))
+    # Q's empty face, whose parent is {v}, becomes the section's
+    sub, in_figure, _ = _slice(q, crossing, [0] + met, points, qv.direction.p)
     return SubPolytope(
         lattice=sub,
-        direction=None,
-        face_parent=face_parent,
-        vertex_face=vf,
+        direction=choose_direction(None, sub.coords),
+        face_parent=tuple(qv.face_parent[i] for i in in_figure),
+        vertex_face=qv.vertex_face,
         slopes=None,
         vi=vi,
     )
@@ -438,8 +422,7 @@ def _sweep_parts(
         if rv is not None:
             val_r = alg.value(rv.lattice)
             if deep:
-                fresh = choose_direction(None, rv.lattice.coords)
-                _, swept = sweep_recursive(alg, rv.lattice, fresh, True)
+                _, swept = sweep_recursive(alg, rv.lattice, rv.direction, True)
                 if swept != val_r:
                     raise CrossCheckError(
                         f"section value mismatch at vertex {vi}: "

@@ -34,7 +34,6 @@ from .sweep import (
     LOWER,
     UPPER,
     SweepDirection,
-    choose_direction,
     classify_face,
     is_extreme,
     map_chain,
@@ -179,8 +178,7 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         qv = vertex_figure(lat, s, vi)
         if d >= 2 and not is_extreme(lat, s, vi):
             rv = sweep_section(lat, s, vi)
-            fresh = choose_direction(None, rv.lattice.coords)
-            for word, _, sub_chains in _partition(rv.lattice, fresh):
+            for word, _, sub_chains in _partition(rv.lattice, rv.direction):
                 keys = []
                 for sc in sub_chains:
                     mid = map_chain(rv, sc)

@@ -11,9 +11,10 @@ dimension >= 1 the sweep methods, partition and verify again with a
 Each checkout runs in its own Python process with its `src/` first on
 the path, calling `polysweep.cli.main` in process for every invocation
 and recording the exit code, stdout and stderr.  The script prints the
-number of byte-identical invocations and the first one that differs,
-and exits 1 if any differs.  Its name does not start with `test_`, so
-pytest does not collect it.
+number of byte-identical invocations, names every one that differs and
+shows both outputs of the first, so that an intended change can be
+checked to be exactly the expected set; it exits 1 if any differs.  Its
+name does not start with `test_`, so pytest does not collect it.
 """
 
 import contextlib
@@ -126,6 +127,8 @@ def main(argv) -> int:
     differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(calls) - len(differ)}/{len(calls)} invocations byte-identical")
     if differ:
+        for i in differ:
+            print("differs: polysweep " + " ".join(calls[i]))
         i = differ[0]
         print("first difference: polysweep " + " ".join(calls[i]))
         for path, result in zip(argv, (old[i], new[i])):

@@ -44,14 +44,16 @@ def test_cdindex_sweep_pentagon(capsys):
 
 
 def test_toric_methods_agree(capsys):
-    results = []
-    for method in ("def", "cd", "sweep", "symmetric"):
-        code, obj = run_json(
-            capsys, "toric", "--input", "cube:3", "--method", method
-        )
-        assert code == 0
-        results.append(obj["toric"])
-    assert all(r == [1, 5, 5, 1] for r in results)
+    # the polar of a point, which the sweep methods sweep, is the point
+    for spec, expected in (("cube:3", [1, 5, 5, 1]), ("point", [1])):
+        results = []
+        for method in ("def", "cd", "sweep", "symmetric"):
+            code, obj = run_json(
+                capsys, "toric", "--input", spec, "--method", method
+            )
+            assert code == 0
+            results.append(obj["toric"])
+        assert all(r == expected for r in results), spec
 
 
 def test_extended(capsys):
@@ -137,6 +139,9 @@ def test_float_coordinate_exit_2(tmp_path, capsys):
     path.write_text('{"dim": 2, "vertices": [["0.1", 0], [1, 0], [0, 1]]}')
     assert main(["describe", "--input", str(path)]) == 0
     capsys.readouterr()
+    path.write_text('{"dim": 2, "vertices": [["1/0", 0], [1, 0], [0, 1]]}')
+    assert main(["describe", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read polytope file")
     # the dimension is held to the same contract as the coordinates
     for dim in ("2.5", "true", '"2"'):
         path.write_text('{"dim": %s, "vertices": [[0, 0], [1, 0], [0, 1]]}' % dim)
@@ -212,10 +217,23 @@ def test_negative_direction_as_separate_argument(capsys, command):
     assert joined == 0
 
 
-@pytest.mark.parametrize("value", ["-3,x", "-3"])
+@pytest.mark.parametrize("value", ["-3,x", "-3", "-3,1/0"])
 def test_malformed_negative_direction_exit_2(capsys, value):
-    # -3 has too few entries for a polygon; -3,x is not a rational list
+    # -3 has too few entries for a polygon; -3,x and -3,1/0 are not
+    # rational lists
     code = main(["cdindex", "--method", "sweep", "--input", "polygon:5",
                  "--direction", value])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("cdindex --method def", "cdindex method must be one of flag, sweep, symmetric"),
+        ("describe --method flag", "describe takes no --method"),
+    ],
+)
+def test_method_outside_the_command_exit_2(capsys, command, message):
+    assert main(command.split() + ["--input", "cube:2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -73,7 +73,9 @@ def cached_hulls():
         if v not in hulls:
             hulls[v] = real(v)
         l = hulls[v]
-        return polytope.FaceLattice(l.dim, zip(l.masks, l.dims), coords=l.coords)
+        return polytope.FaceLattice(
+            l.dim, zip(l.masks, l.dims), coords=l.coords, facets=l.facets
+        )
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "hull_lattice", hull_lattice)

@@ -8,13 +8,11 @@ from fraction_rref import canonical_integer_vector, null_space
 from fraction_rref import matrix_rank as fraction_rank
 from polysweep.errors import DegenerateSpan
 from polysweep.exactnum import (
-    Hyperplane,
     affine_rank,
     dot,
     hyperplane_through,
     matrix_rank,
     primitive,
-    side,
     vec,
     vsub,
 )
@@ -38,13 +36,12 @@ def test_affine_rank():
 
 
 def test_hyperplane_through_axis():
-    h = hyperplane_through([vec(0, 0), vec(1, 0)], 2)
-    assert h.normal == vec(0, 1) and h.offset == 0
+    assert hyperplane_through([vec(0, 0), vec(1, 0)], 2) == (vec(0, 1), 0)
 
 
 def test_hyperplane_through_simplex_facet():
     h = hyperplane_through([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)], 3)
-    assert h.normal == vec(1, 1, 1) and h.offset == 1
+    assert h == (vec(1, 1, 1), 1)
 
 
 def test_hyperplane_through_diagonal():
@@ -53,8 +50,7 @@ def test_hyperplane_through_diagonal():
     pts = [vec(0, 0), vec(1, 1), vec(2, 2)]
     kernel = null_space([[F(1), F(1)], [F(2), F(2)]])
     assert len(kernel) == 1 and dot(kernel[0], vec(1, 1)) == 0
-    h = hyperplane_through(pts, 2)
-    assert h.normal == vec(1, -1) and h.offset == 0
+    assert hyperplane_through(pts, 2) == (vec(1, -1), 0)
 
 
 def test_hyperplane_canonical_under_permutation():
@@ -72,13 +68,6 @@ def test_hyperplane_degenerate():
     # points of R^3 spanning a line leave a 2-dimensional kernel
     with pytest.raises(ValueError, match="span no hyperplane"):
         hyperplane_through([vec(0, 0, 0), vec(1, 1, 1)], 2)
-
-
-def test_side():
-    h = Hyperplane(vec(0, 1), 0)
-    assert side(h, vec(5, 2)) == 1
-    assert side(h, vec(5, 0)) == 0
-    assert side(h, vec(5, F(-1, 3))) == -1
 
 
 def test_canonical_integer_vector():
@@ -132,11 +121,11 @@ def test_integer_kernel_matches_the_fraction_oracle(case, offset):
         with pytest.raises(DegenerateSpan):
             hyperplane_through(points, n)
         return
-    h = hyperplane_through(points, n)
+    normal, offset = hyperplane_through(points, n)
     (kernel,) = null_space([vsub(p, p0) for p in points[1:]])
-    assert h.normal == canonical_integer_vector(kernel)
-    assert all(type(x) is int for x in h.normal)
-    assert h.offset == dot(h.normal, p0)
+    assert normal == canonical_integer_vector(kernel)
+    assert all(type(x) is int for x in normal)
+    assert offset == dot(normal, p0)
 
 
 def test_primitive_keeps_the_direction():

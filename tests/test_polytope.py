@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
-from conftest import default_direction, lat
+from conftest import default_direction, eliminated_facets, lat
 from polysweep.errors import NonVertexPoint, NotFullDimensional
 from polysweep.exactnum import vec
 from polysweep.polytope import (
@@ -159,10 +159,25 @@ def test_polar_dual_realizes_dual_lattice():
 
 
 def test_facet_hyperplanes_outward():
-    l = lat("cross:3")
-    pts = l.coords.vertices
-    for normal, offset in facet_hyperplanes(l):
-        assert all(ps.dot(normal, p) <= offset for p in pts)
+    """The hyperplanes the hull keeps from its subset loop are those
+    eliminated again from each facet's vertices, outward, and tight
+    exactly on their facet."""
+    for spec in ("segment", "polygon:5", "simplex:3", "cube:3", "cross:3",
+                 "pyramid:polygon:4", "prism:polygon:6", "cube:4", "cross:4",
+                 "pyramid:cube:3", "prism:cross:3", "product:simplex:2:simplex:2"):
+        l = lat(spec)
+        pts = l.coords.vertices
+        stored = facet_hyperplanes(l)
+        assert stored == eliminated_facets(l), spec
+        for fi, (normal, offset) in zip(l.by_dim[l.dim - 1], stored):
+            assert all(type(x) is int for x in normal)
+            assert all(ps.dot(normal, p) <= offset for p in pts)
+            on = [ps.dot(normal, p) == offset for p in pts]
+            assert on == [bool(l.masks[fi] >> i & 1) for i in range(len(pts))]
+    l = lat("cube:3")
+    short = dict(list(l.facets.items())[1:])
+    with pytest.raises(ValueError, match="not one per facet"):
+        FaceLattice(3, zip(l.masks, l.dims), coords=l.coords, facets=short)
 
 
 def test_geometry_of_a_lattice_without_coordinates_raises():
@@ -249,8 +264,7 @@ def lattices_below(l, s):
             yield from lattices_below(q.lattice, q.direction)
         r = sweep_section(l, s, vi) if l.dim >= 2 else None
         if r is not None:
-            fresh = ps.choose_direction(None, r.lattice.coords)
-            yield from lattices_below(r.lattice, fresh)
+            yield from lattices_below(r.lattice, r.direction)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import polysweep as ps
 import polysweep.sweep as sweep_mod
 import polysweep.truncpartition as partition_mod
-from conftest import default_direction, lat
+from conftest import default_direction, eliminated_facets, lat
 from polysweep.cli import parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
@@ -378,16 +378,36 @@ def test_figure_memo_keys_on_the_direction():
 
 
 def test_sub_polytope_face_map_order_preserving():
-    l, s = lat("cube:3"), default_direction("cube:3")
-    for vi in range(l.n_vertices):
-        q = vertex_figure(l, s, vi)
-        n = len(q.lattice.masks)
-        assert len(set(q.face_parent)) == n  # injective
-        for i in range(n):
-            for j in range(n):
-                assert q.lattice.contains(i, j) == l.contains(
-                    q.face_parent[i], q.face_parent[j]
-                )
+    """Figures and sections map their faces into the parent injectively
+    and preserving order; a section's parent faces are {v} and the middle
+    faces at v, its sub-vertex k lies in the k-th middle 2-face, and it
+    carries the ladder direction on its coordinates."""
+    for spec in ("cube:3", "cross:4"):
+        l, s = lat(spec), default_direction(spec)
+        for vi in range(l.n_vertices):
+            subs = [vertex_figure(l, s, vi)]
+            r = sweep_section(l, s, vi)
+            if r is not None:
+                middle = [
+                    fi
+                    for k in range(2, l.dim + 1)
+                    for fi in l.faces_at_vertex(vi, k)
+                    if classify_face(l, s, vi, fi) == MIDDLE
+                ]
+                assert sorted(r.face_parent) == sorted([r.vertex_face] + middle)
+                two = [fi for fi in middle if l.dims[fi] == 2]
+                assert [r.face_parent[r.lattice.index[1 << k]]
+                        for k in range(r.lattice.n_vertices)] == two
+                assert r.direction == choose_direction(None, r.lattice.coords)
+                subs.append(r)
+            for q in subs:
+                n = len(q.lattice.masks)
+                assert len(set(q.face_parent)) == n  # injective
+                for i in range(n):
+                    for j in range(n):
+                        assert q.lattice.contains(i, j) == l.contains(
+                            q.face_parent[i], q.face_parent[j]
+                        )
 
 
 def random_hull(rng, d, n):
@@ -469,26 +489,24 @@ def test_closed_form_cut_matches_elimination(case, p):
 def check_integer_geometry(l, s, seen):
     """Every vertex figure below (l, s), and every section, recursively:
     int coordinates, and inherited facet hyperplanes equal to those
-    recomputed by elimination on the sub-polytope's own coordinates."""
+    eliminated from the sub-polytope's own coordinates."""
     for vi in range(l.n_vertices):
-        subs = [(vertex_figure(l, s, vi), None)]
+        subs = [vertex_figure(l, s, vi)]
         if l.dim >= 2 and not sweep_mod.is_extreme(l, s, vi):
-            rv = sweep_section(l, s, vi)
-            subs.append((rv, ps.choose_direction(None, rv.lattice.coords)))
-        for sub, fresh in subs:
+            subs.append(sweep_section(l, s, vi))
+        for sub in subs:
             q = sub.lattice
             ys = q.coords.vertices
             assert all(type(x) is int for y in ys for x in y)
             if q.dim >= 1:
                 inherited = facet_hyperplanes(q)
-                bare = ps.FaceLattice(q.dim, zip(q.masks, q.dims), coords=q.coords)
-                assert inherited == facet_hyperplanes(bare)
+                assert inherited == eliminated_facets(q)
                 for fi, (normal, offset) in zip(q.by_dim[q.dim - 1], inherited):
                     on = [ps.dot(normal, y) == offset for y in ys]
                     assert on == [bool(q.masks[fi] >> j & 1) for j in range(len(ys))]
                     assert all(ps.dot(normal, y) <= offset for y in ys)
                 seen.append(q.dim)
-                check_integer_geometry(q, fresh or sub.direction, seen)
+                check_integer_geometry(q, sub.direction, seen)
 
 
 @pytest.mark.parametrize(
