@@ -18,13 +18,7 @@ from .errors import (
     NotSimple,
     PolysweepError,
 )
-from .exactnum import (
-    Rational,
-    affine_rank,
-    dot,
-    hyperplane_through,
-    vec,
-)
+from .exactnum import affine_rank, dot, hyperplane_through, vec
 from .flagvec import (
     ABPolynomial,
     CDPolynomial,
@@ -45,7 +39,6 @@ from .polytope import (
     dual,
     hull_lattice,
     is_eulerian,
-    lattice_isomorphic,
     make_crosspolytope,
     make_cube,
     make_polygon,
@@ -57,7 +50,6 @@ from .polytope import (
 )
 from .sweep import (
     SubPolytope,
-    SupportNormal,
     SweepDirection,
     cd_sweep,
     cd_sweep_symmetric,

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import verify
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotInImage
-from .exactnum import format_rational
 from .flagvec import ab_index, cd_index, flag_f, flag_h
 from .polytope import (
     FaceLattice,
@@ -119,7 +118,7 @@ def _sweep_order(s):
 def _per_vertex(s, per: dict, name: str, fmt) -> list:
     """Each vertex's part in sweep order, with the vertex's height."""
     return [
-        {"vertex": vi, "height": format_rational(s.heights[vi]), name: fmt(per[vi])}
+        {"vertex": vi, "height": str(s.heights[vi]), name: fmt(per[vi])}
         for vi in _sweep_order(s)
     ]
 
@@ -363,20 +362,26 @@ def main(argv=None) -> int:
         print(f"cross-check failure: {e}", file=sys.stderr)
         return 3
 
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w") as f:
                 json.dump(payload, f, indent=2)
                 f.write("\n")
-        except OSError as e:
-            print(f"error: cannot write {args.output}: {e.strerror or e}",
-                  file=sys.stderr)
-            return 2
-    elif args.format == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-    else:
-        _render_table(payload, sys.stdout)
+        elif args.format == "json":
+            json.dump(payload, sys.stdout, indent=2)
+            print()
+        else:
+            _render_table(payload, sys.stdout)
+        sys.stdout.flush()
+    except OSError as e:
+        target = args.output or "standard output"
+        print(f"error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
+        if not args.output:
+            # what is left in the buffer goes to the null device at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
     return 0
 
 

@@ -21,15 +21,10 @@ from operator import mul
 
 from .errors import DegenerateSpan
 
-Rational = Fraction
 QVector = tuple  # tuple of ints and Fractions
 
 
 def vec(*entries) -> QVector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def vec_from(entries) -> QVector:
     return tuple(Fraction(e) for e in entries)
 
 
@@ -51,15 +46,6 @@ def vadd(a: QVector, b: QVector) -> QVector:
 def vscale(c, a: QVector) -> QVector:
     """c * a, with no coercion: an integer vector times an int stays integer."""
     return tuple(c * x for x in a)
-
-
-def format_rational(x: Fraction) -> str:
-    """"p/q" or plain "p" for integers."""
-    return str(x)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,7 @@ from fractions import Fraction
 from operator import or_
 
 from .errors import CrossCheckError, DegenerateSpan, NonVertexPoint, NotFullDimensional
-from .exactnum import (
-    QVector,
-    affine_rank,
-    dot,
-    format_rational,
-    hyperplane_through,
-    parse_rational,
-    vec_from,
-)
+from .exactnum import QVector, affine_rank, dot, hyperplane_through, vec
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,6 @@ class FaceLattice:
                 else:
                     down[i] &= ~at
         self.up, self.down = tuple(up), tuple(down)
-        self.full_mask = self.masks[-1]
         self.n_vertices = len(self.by_dim.get(0, ()))
         if facets is not None:
             top = [self.masks[i] for i in self.by_dim.get(dim - 1, ())]
@@ -228,17 +219,10 @@ def hull_lattice(v: VRep) -> FaceLattice:
         if meet != 1 << i:
             raise NonVertexPoint(i)
 
-    faces = {full, 0} | facet_masks
-    frontier = set(facet_masks)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in facet_masks:
-                m = f & g
-                if m not in faces:
-                    new.add(m)
-        faces |= new
-        frontier = new
+    # every face is the meet of the facets containing it
+    faces = {full, 0}
+    for m in facet_masks:
+        faces |= {f & m for f in faces}
 
     def face_dim(mask: int) -> int:
         if mask == 0:
@@ -376,47 +360,6 @@ def is_eulerian(l: FaceLattice) -> bool:
     return True
 
 
-def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
-    """Backtracking search for a vertex bijection mapping faces to faces."""
-    if a.dim != b.dim or a.f_vector() != b.f_vector():
-        return False
-
-    def signature(l: FaceLattice, vi: int):
-        return tuple(
-            sorted((l.dims[i], l.masks[i].bit_count())
-                   for i in bits(l.up[l.index[1 << vi]]))
-        )
-
-    siga = [signature(a, i) for i in range(a.n_vertices)]
-    sigb = [signature(b, i) for i in range(b.n_vertices)]
-    if sorted(siga) != sorted(sigb):
-        return False
-    bmasks = set(b.masks)
-
-    def extend(perm: list[int], used: set[int]) -> bool:
-        i = len(perm)
-        if i == a.n_vertices:
-            for m in a.masks:
-                img = 0
-                for v in bits(m):
-                    img |= 1 << perm[v]
-                if img not in bmasks:
-                    return False
-            return True
-        for j in range(b.n_vertices):
-            if j in used or siga[i] != sigb[j]:
-                continue
-            perm.append(j)
-            used.add(j)
-            if extend(perm, used):
-                return True
-            perm.pop()
-            used.remove(j)
-        return False
-
-    return extend([], set())
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 
@@ -424,7 +367,7 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
 def vrep_to_json(v: VRep) -> dict:
     return {
         "dim": v.dim,
-        "vertices": [[format_rational(x) for x in p] for p in v.vertices],
+        "vertices": [[str(x) for x in p] for p in v.vertices],
     }
 
 
@@ -432,7 +375,7 @@ def _json_coordinate(x) -> Fraction:
     """An int or a rational string.  A JSON float is refused: its binary
     value is rarely the number written (0.1 is not 1/10)."""
     if type(x) is int or isinstance(x, str):
-        return parse_rational(x)
+        return Fraction(x)
     raise TypeError(
         f"coordinate {x!r} is not an integer or a rational string; "
         f'quote it as an exact rational, e.g. "1/10"'
@@ -444,7 +387,7 @@ def vrep_from_json(obj: dict) -> VRep:
         raise TypeError(f'"dim" {obj["dim"]!r} is not a JSON integer')
     return VRep(
         obj["dim"],
-        tuple(vec_from(_json_coordinate(x) for x in p) for p in obj["vertices"]),
+        tuple(vec(*map(_json_coordinate, p)) for p in obj["vertices"]),
     )
 
 

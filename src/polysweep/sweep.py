@@ -29,7 +29,7 @@ each facet it finds.
 
 The recursion sweeps every vertex of the polytope it is given, because
 each per-vertex part is reported.  Inside a vertex figure only the
-parts of sub-vertices with positive slope are read, so only those are
+parts of sub-vertices above height(v) are read, so only those are
 swept; with deep=True every sub-vertex is swept, so that every section
 on the way is re-swept and checked.
 """
@@ -37,7 +37,7 @@ on the way is re-swept and checked.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -74,26 +74,18 @@ class SweepDirection:
 
 
 @dataclass(frozen=True)
-class SupportNormal:
-    """A functional maximized uniquely over P at vertex v, chosen inside
-    the normal cone so the edge slopes at v come out pairwise distinct."""
-
-    v: int
-    a: QVector
-    slopes: dict = field(compare=False)  # edge index -> slope key under a
-
-
-@dataclass(frozen=True)
 class SubPolytope:
     """A vertex figure or section: derived lattice, exact coordinates,
-    and the map back to the parent's faces."""
+    and the map back to the parent's faces.
+
+    A figure's direction is induced: sub-vertex j has height
+    height(v) + slope of the j-th edge at v, so the figure's heights are
+    the one record of the order at v.  A section's is the ladder's."""
 
     lattice: FaceLattice
-    direction: SweepDirection  # induced for figures, the ladder's for sections
+    direction: SweepDirection
     face_parent: tuple  # sub-face index -> parent face index
     vertex_face: int  # parent index of the face {v}
-    slopes: tuple | None  # per sub-vertex, vertex figures only
-    vi: int
 
 
 def choose_direction(p0, v: VRep) -> SweepDirection:
@@ -119,10 +111,6 @@ def choose_direction(p0, v: VRep) -> SweepDirection:
     raise RuntimeError("direction ladder exhausted")  # pragma: no cover
 
 
-def _edges_at(lat: FaceLattice, vi: int) -> list[int]:
-    return lat.faces_at_vertex(vi, 1)
-
-
 def _other_endpoint(lat: FaceLattice, edge: int, vi: int) -> int:
     u, w = lat.edge_endpoints(edge)
     return w if u == vi else u
@@ -137,7 +125,7 @@ def _slopes_for(lat, s, vi, a) -> dict:
     """
     pts = lat.coords.vertices
     out = {}
-    for e in _edges_at(lat, vi):
+    for e in lat.faces_at_vertex(vi, 1):
         wi = _other_endpoint(lat, e, vi)
         den = dot(a, vsub(pts[vi], pts[wi]))
         if den <= 0:
@@ -148,9 +136,11 @@ def _slopes_for(lat, s, vi, a) -> dict:
     return out
 
 
-def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNormal:
-    """Sum of outward facet normals at vi, reweighted by (1, t, t^2, ...)
-    until the edge slope keys at vi are pairwise distinct."""
+def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple:
+    """(a, slopes): a functional maximized uniquely over P at vi, the sum
+    of the outward facet normals at vi reweighted by (1, t, t^2, ...)
+    until the edge slope keys at vi (edge index -> slope) are pairwise
+    distinct."""
     hyps = facet_hyperplanes(lat)
     facets = lat.by_dim[lat.dim - 1]
     normals = [
@@ -169,7 +159,7 @@ def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> SupportNorma
             )
         slopes = _slopes_for(lat, s, vi, a)
         if len(set(slopes.values())) == len(slopes):
-            return SupportNormal(vi, a, slopes)
+            return a, slopes
     raise RuntimeError("support normal ladder exhausted")  # pragma: no cover
 
 
@@ -248,40 +238,31 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     if d < 1:
         raise ValueError("a vertex figure needs dimension at least 1")
     pts = lat.coords.vertices
-    n = support_normal(lat, s, vi)
-    slopes = n.slopes
+    a, slopes = support_normal(lat, s, vi)
     vf = lat.index[1 << vi]
-    edges = _edges_at(lat, vi)
+    edges = lat.faces_at_vertex(vi, 1)
 
-    # sub-vertex j is v + rays[j], on the cut plane n.a . y = n.a . v - 1
+    # sub-vertex j is v + rays[j], on the cut plane a . y = a . v - 1
     v = pts[vi]
     rays = []
     for e in edges:
         w = pts[_other_endpoint(lat, e, vi)]
-        t = dot(n.a, vsub(v, w))
+        t = dot(a, vsub(v, w))
         rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
-    sub, face_parent, scale = _slice(lat, edges, list(bits(lat.up[vf])), rays, n.a)
+    sub, face_parent, scale = _slice(lat, edges, list(bits(lat.up[vf])), rays, a)
 
     heights = tuple(s.heights[vi] + slopes[e] for e in edges)
     # the induced direction is s.p restricted to the cut plane, over the
     # scale; that the heights from the slopes are affine in it checks
     # the projection
-    q = tuple(x / scale for x in _restrict(s.p, n.a, *_cut(n.a)))
+    q = tuple(x / scale for x in _restrict(s.p, a, *_cut(a)))
     ys = sub.coords.vertices
     offset = heights[0] - dot(q, ys[0])
     if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
         raise CrossCheckError(
             f"induced heights at vertex {vi} are not affine in the cut coordinates"
         )
-    direction = SweepDirection(q, heights)
-    return SubPolytope(
-        lattice=sub,
-        direction=direction,
-        face_parent=face_parent,
-        vertex_face=vf,
-        slopes=tuple(slopes[e] for e in edges),
-        vi=vi,
-    )
+    return SubPolytope(sub, SweepDirection(q, heights), face_parent, vf)
 
 
 def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
@@ -309,7 +290,7 @@ def is_extreme(lat: FaceLattice, s: SweepDirection, vi: int) -> bool:
 @memoized
 def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
     """The vertex figure cut by the sweep hyperplane through v; None
-    when v is the global minimum or maximum.
+    below dimension 2 and when v is the global minimum or maximum.
 
     The cut meets the faces of the figure Q with sub-vertices on both
     sides of height(v), which are the middle faces at v.  Sub-vertex k
@@ -318,10 +299,7 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     v, dimension dropped by two.  The section's direction is the ladder
     direction on its own coordinates, since the sweep is constant on it.
     """
-    d = lat.dim
-    if d < 2:
-        raise ValueError("a section needs dimension at least 2")
-    if is_extreme(lat, s, vi):
+    if lat.dim < 2 or is_extreme(lat, s, vi):
         return None
     qv = vertex_figure(lat, s, vi)
     q, qheights = qv.lattice, qv.direction.heights
@@ -342,12 +320,10 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     # Q's empty face, whose parent is {v}, becomes the section's
     sub, in_figure, _ = _slice(q, crossing, [0] + met, points, qv.direction.p)
     return SubPolytope(
-        lattice=sub,
-        direction=choose_direction(None, sub.coords),
-        face_parent=tuple(qv.face_parent[i] for i in in_figure),
-        vertex_face=qv.vertex_face,
-        slopes=None,
-        vi=vi,
+        sub,
+        choose_direction(None, sub.coords),
+        tuple(qv.face_parent[i] for i in in_figure),
+        qv.vertex_face,
     )
 
 
@@ -385,7 +361,7 @@ def sweep_recursive(
 
     The contribution at v is d times the section's value plus c times
     the recursive per-vertex parts of the vertex figure, summed over its
-    sub-vertices with positive slope; the last vertex swept contributes
+    sub-vertices above height(v); the last vertex swept contributes
     zero.  The section's value is computed directly; with deep=True it
     is recomputed by a recursive sweep under a fresh direction and the
     two must agree.
@@ -400,8 +376,8 @@ def _sweep_parts(
     alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
 ) -> dict:
     """The per-vertex parts of the vertices in wanted only.  A figure's
-    parts are read at its sub-vertices with positive slope, so only
-    those are swept; with deep=True all are, to check every section."""
+    parts are read at its sub-vertices above height(v), so only those
+    are swept; with deep=True all are, to check every section."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}
@@ -413,12 +389,12 @@ def _sweep_parts(
             per[vi] = term
             continue
         qv = vertex_figure(lat, s, vi)
-        up = [j for j, m in enumerate(qv.slopes) if m > 0]
+        up = [j for j, h in enumerate(qv.direction.heights) if h > s.heights[vi]]
         swept = range(qv.lattice.n_vertices) if deep else up
         sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
         for j in up:
             term = alg.add(term, alg.c(sub_per[j]))
-        rv = sweep_section(lat, s, vi) if d >= 2 else None
+        rv = sweep_section(lat, s, vi)
         if rv is not None:
             val_r = alg.value(rv.lattice)
             if deep:
@@ -447,7 +423,7 @@ def sweep_symmetric(
     for vi in range(lat.n_vertices):
         qv = vertex_figure(lat, s, vi)
         term = alg.c(alg.value(qv.lattice))
-        rv = sweep_section(lat, s, vi) if d >= 2 else None
+        rv = sweep_section(lat, s, vi)
         if rv is not None:
             val_r = alg.value(rv.lattice)
             term = alg.add(term, alg.scale(2, alg.d(val_r)))
@@ -506,7 +482,7 @@ def simple_h_by_outdegree(lat: FaceLattice, s: SweepDirection) -> tuple:
     for vi in range(lat.n_vertices):
         out = sum(
             1
-            for e in _edges_at(lat, vi)
+            for e in lat.faces_at_vertex(vi, 1)
             if s.heights[_other_endpoint(lat, e, vi)] > s.heights[vi]
         )
         h[out] += 1

@@ -181,14 +181,9 @@ def extended_toric(phi: CDPolynomial, degree: int | None = None) -> dict:
     out = {}
     for w in d_prefixed_words(degree):
         k = CDPolynomial.word_degree(w)
-        if w:
-            parts = {
-                u[: len(u) - len(w)]: c
-                for u, c in phi.terms.items()
-                if u.endswith(w)
-            }
-        else:
-            parts = dict(phi.terms)
+        parts = {
+            u[: len(u) - len(w)]: c for u, c in phi.terms.items() if u.endswith(w)
+        }
         out[w] = toric_from_cd(CDPolynomial(parts), degree=degree - k)
     return out
 

@@ -35,7 +35,6 @@ from .sweep import (
     UPPER,
     SweepDirection,
     classify_face,
-    is_extreme,
     map_chain,
     sweep_section,
     vertex_figure,
@@ -89,7 +88,8 @@ def _extreme_vertex(l: FaceLattice, s: SweepDirection, fi: int, want_max: bool) 
 def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     """Add the missing minimal label to a chain: a vertex of the chain's
     minimal face (extremal in height), or, when the chain already starts
-    at a vertex v, an edge at v inside the next face (extremal in slope).
+    at a vertex v, an edge at v inside the next face (extremal in slope,
+    read off the heights of the vertex figure's sub-vertices).
     """
     full = len(l.masks) - 1
     if not _has_vertex_entry(l, chain):
@@ -101,11 +101,12 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     if rest and l.dims[rest[0]] < 2:
         raise CrossCheckError(f"chain {chain} already has a face of dimension 1")
     f2 = rest[0] if rest else full
-    # the figure's sub-vertex j, and its slope, is on the j-th edge at v
+    # the figure's sub-vertex j is on the j-th edge at v, at height
+    # height(v) + slope
     edges = l.faces_at_vertex(vi, 1)
     inside = [j for j, e in enumerate(edges) if l.down[f2] >> e & 1]
-    slopes = vertex_figure(l, s, vi).slopes
-    pick = (max if want_top else min)(inside, key=slopes.__getitem__)
+    heights = vertex_figure(l, s, vi).direction.heights
+    pick = (max if want_top else min)(inside, key=heights.__getitem__)
     return (chain[0], edges[pick]) + rest
 
 
@@ -119,8 +120,7 @@ def bottom_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:
 
 def _partition(lat: FaceLattice, s: SweepDirection) -> list:
     """Recursive construction; returns (word, owner, chains) triples."""
-    d = lat.dim
-    if d == 0:
+    if lat.dim == 0:
         return [("", 0, [()])]
     full = len(lat.masks) - 1
     chains = enumerate_chains(lat)
@@ -176,8 +176,8 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         if vi == top_v:
             continue
         qv = vertex_figure(lat, s, vi)
-        if d >= 2 and not is_extreme(lat, s, vi):
-            rv = sweep_section(lat, s, vi)
+        rv = sweep_section(lat, s, vi)
+        if rv is not None:
             for word, _, sub_chains in _partition(rv.lattice, rv.direction):
                 keys = []
                 for sc in sub_chains:
@@ -185,7 +185,7 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
                     keys.append(key_of[mid])
                 records.append(("d" + word, vi, keys))
         for word, owner_w, sub_chains in _partition(qv.lattice, qv.direction):
-            if qv.slopes[owner_w] > 0:
+            if qv.direction.heights[owner_w] > s.heights[vi]:
                 keys = []
                 for sc in sub_chains:
                     up = map_chain(qv, sc)

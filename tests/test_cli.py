@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polysweep
 from polysweep.cli import main, parse_input
 from polysweep.errors import InputError
 from polysweep.polytope import vrep_to_json
@@ -195,6 +200,37 @@ def test_deep_sweep_flag(capsys):
     )
     assert code == 0
     assert obj["cd"] == {"ccc": 1, "dc": 6, "cd": 4}
+
+
+def cli_process(*args, flags=()):
+    """A subprocess running the CLI of this checkout, stdout and stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(polysweep.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "polysweep.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_closed_stdout_exit_2(fmt):
+    # the reader goes away before the command writes anything
+    proc = cli_process("verify", "--input", "cube:3", "--format", fmt)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_optimized_interpreter_prints_the_same():
+    # invariants are explicit raises, so python -O changes nothing
+    runs = []
+    for flags in ((), ("-O",)):
+        proc = cli_process("verify", "--input", "pyramid:polygon:4", flags=flags)
+        out, err = proc.communicate()
+        runs.append((proc.returncode, out, err))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):

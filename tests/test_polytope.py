@@ -10,6 +10,7 @@ from polysweep.exactnum import vec
 from polysweep.polytope import (
     FaceLattice,
     VRep,
+    bits,
     facet_hyperplanes,
     vrep_from_json,
     vrep_to_json,
@@ -132,30 +133,49 @@ def test_dim0_faces_are_singletons():
         assert l.masks[i].bit_count() == 1
 
 
+def assert_dual_is_hulled_polar(l):
+    """dual(l) numbers its atoms as polar_dual numbers its vertices, so
+    the hulled polar has the same masks and dimensions."""
+    dl, polar = ps.dual(l), ps.hull_lattice(ps.polar_dual(l))
+    assert (dl.masks, dl.dims) == (polar.masks, polar.dims)
+    return dl
+
+
 def test_dual_cube_is_octahedron():
-    assert ps.lattice_isomorphic(ps.dual(lat("cube:3")), lat("cross:3"))
-    assert not ps.lattice_isomorphic(ps.dual(lat("cube:3")), lat("cube:3"))
+    dl = assert_dual_is_hulled_polar(lat("cube:3"))
+    assert dl.f_vector() == lat("cross:3").f_vector() == (1, 6, 12, 8, 1)
 
 
 def test_dual_simplex_self():
-    assert ps.lattice_isomorphic(ps.dual(lat("simplex:3")), lat("simplex:3"))
+    dl = assert_dual_is_hulled_polar(lat("simplex:3"))
+    assert dl.f_vector() == lat("simplex:3").f_vector() == (1, 4, 6, 4, 1)
 
 
 def test_dual_involution():
-    # the double dual reindexes vertices, so compare up to isomorphism
+    # vertex j of the double dual is facet j of dual(l), which is the set
+    # of facets of l at one vertex of l
     for spec in ("cube:3", "polygon:6", "pyramid:polygon:4"):
         l = lat(spec)
-        dd = ps.dual(ps.dual(l))
-        assert dd.f_vector() == l.f_vector()
-        assert ps.lattice_isomorphic(dd, l)
+        dl = ps.dual(l)
+        dd = ps.dual(dl)
+        facets = l.by_dim[l.dim - 1]
+        vertex_of = {
+            sum(1 << k for k, fi in enumerate(facets) if l.masks[fi] >> v & 1): v
+            for v in range(l.n_vertices)
+        }
+        relabel = [vertex_of[dl.masks[fi]] for fi in dl.by_dim[dl.dim - 1]]
+        faces = {
+            (sum(1 << relabel[j] for j in bits(m)), k)
+            for m, k in zip(dd.masks, dd.dims)
+        }
+        assert len(faces) == len(dd) == len(l)
+        assert faces == set(zip(l.masks, l.dims))
 
 
 def test_polar_dual_realizes_dual_lattice():
-    for spec in ("cube:3", "simplex:3", "pyramid:polygon:4", "polygon:5"):
-        l = lat(spec)
-        polar = ps.hull_lattice(ps.polar_dual(l))
-        dl = ps.dual(l)
-        assert polar.masks == dl.masks and polar.dims == dl.dims
+    for spec in ("cube:3", "simplex:3", "pyramid:polygon:4", "polygon:5",
+                 "cross:3", "pyramid:polygon:5", "prism:cross:3"):
+        assert_dual_is_hulled_polar(lat(spec))
 
 
 def test_facet_hyperplanes_outward():
@@ -262,7 +282,7 @@ def lattices_below(l, s):
         if l.dim >= 1:
             q = vertex_figure(l, s, vi)
             yield from lattices_below(q.lattice, q.direction)
-        r = sweep_section(l, s, vi) if l.dim >= 2 else None
+        r = sweep_section(l, s, vi)
         if r is not None:
             yield from lattices_below(r.lattice, r.direction)
 

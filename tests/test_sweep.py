@@ -123,15 +123,15 @@ def test_min_vertex_partition_cube():
 
 def test_support_normal_cube_corner():
     l = lat("cube:3")
-    n = support_normal(l, default_direction("cube:3"), 0)
-    assert n.a == (-1, -1, -1)
+    a, _ = support_normal(l, default_direction("cube:3"), 0)
+    assert a == (-1, -1, -1)
 
 
 def test_support_normal_octahedron():
     l = lat("cross:3")
     s = default_direction("cross:3")
-    n = support_normal(l, s, 0)  # vertex e_1
-    assert n.a == (4, 0, 0)  # sum of the four incident facet normals
+    a, _ = support_normal(l, s, 0)  # vertex e_1
+    assert a == (4, 0, 0)  # sum of the four incident facet normals
 
 
 def test_support_normal_strict_on_polygon():
@@ -139,7 +139,7 @@ def test_support_normal_strict_on_polygon():
     s = default_direction("polygon:5")
     pts = l.coords.vertices
     for vi in range(5):
-        a = support_normal(l, s, vi).a
+        a, _ = support_normal(l, s, vi)
         av = ps.dot(a, pts[vi])
         assert all(ps.dot(a, pts[w]) < av for w in range(5) if w != vi)
 
@@ -190,6 +190,23 @@ def test_section_geometry_matches_derived_lattice():
             assert hull.dims == r.lattice.dims
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["segment", "polygon:5", "cube:3", "cross:3", "pyramid:polygon:4",
+     "simplex:4", "prism:polygon:5", "cube:4"],
+)
+def test_figure_heights_are_height_plus_slope(spec):
+    # the figure's heights are the one record of the edge order at v
+    l, s = lat(spec), default_direction(spec)
+    for vi in range(l.n_vertices):
+        q = vertex_figure(l, s, vi)
+        _, slopes = support_normal(l, s, vi)
+        edges = l.faces_at_vertex(vi, 1)
+        assert [h - s.heights[vi] for h in q.direction.heights] == [
+            slopes[e] for e in edges
+        ]
+
+
 def test_vertex_figure_counts():
     for spec in ("cross:3", "pyramid:polygon:4", "cube:4"):
         l, s = lat(spec), default_direction(spec)
@@ -225,6 +242,10 @@ def test_sweep_section_shapes():
     pent, s2 = lat("polygon:5"), default_direction("polygon:5")
     for vi in sweep_order(s2)[1:4]:
         assert sweep_section(pent, s2, vi).lattice.f_vector() == (1, 1)  # a point
+        # the vertex figure is a segment, which has no section
+        q = vertex_figure(pent, s2, vi)
+        assert q.lattice.dim == 1
+        assert all(sweep_section(q.lattice, q.direction, j) is None for j in range(2))
 
 
 def test_sweep_section_counts_middle_two_faces():
@@ -491,10 +512,8 @@ def check_integer_geometry(l, s, seen):
     int coordinates, and inherited facet hyperplanes equal to those
     eliminated from the sub-polytope's own coordinates."""
     for vi in range(l.n_vertices):
-        subs = [vertex_figure(l, s, vi)]
-        if l.dim >= 2 and not sweep_mod.is_extreme(l, s, vi):
-            subs.append(sweep_section(l, s, vi))
-        for sub in subs:
+        subs = [vertex_figure(l, s, vi), sweep_section(l, s, vi)]
+        for sub in filter(None, subs):
             q = sub.lattice
             ys = q.coords.vertices
             assert all(type(x) is int for y in ys for x in y)
