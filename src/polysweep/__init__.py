@@ -20,7 +20,6 @@ from .errors import (
 )
 from .exactnum import affine_rank, dot, hyperplane_through, vec
 from .flagvec import (
-    ABPolynomial,
     CDPolynomial,
     FlagVector,
     ab_from_cd,

@@ -26,6 +26,7 @@ from .flagvec import ab_index, cd_index, flag_f, flag_h
 from .polytope import (
     FaceLattice,
     VRep,
+    bits,
     hull_lattice,
     is_eulerian,
     lattice_to_json,
@@ -65,6 +66,19 @@ def parse_input(spec: str) -> VRep:
     return vrep
 
 
+# Far above what the hull answers (cube:7, 128 vertices, does not
+# finish); it stops a spec such as cube:28 before its vertices are built.
+MAX_VERTICES = 4096
+
+_SIZED = {
+    "simplex": (make_simplex, lambda n: n + 1),
+    "cube": (make_cube, lambda n: 2 ** n),
+    "cross": (make_crosspolytope, lambda n: 2 * n),
+    "crosspolytope": (make_crosspolytope, lambda n: 2 * n),
+    "polygon": (make_polygon, lambda n: n),
+}
+
+
 def _parse_spec(tokens: list) -> tuple[VRep, list]:
     if not tokens:
         raise InputError("empty input spec")
@@ -73,35 +87,50 @@ def _parse_spec(tokens: list) -> tuple[VRep, list]:
         return make_simplex(0), rest
     if head == "segment":
         return make_cube(1), rest
-    if head in ("simplex", "cube", "cross", "crosspolytope", "polygon"):
+    if head in _SIZED:
         if not rest:
             raise InputError(f"{head} needs a size argument")
         try:
             n = int(rest[0])
         except ValueError:
             raise InputError(f"bad size {rest[0]!r} for {head}") from None
-        maker = {
-            "simplex": make_simplex,
-            "cube": make_cube,
-            "cross": make_crosspolytope,
-            "crosspolytope": make_crosspolytope,
-            "polygon": make_polygon,
-        }[head]
+        maker, count = _SIZED[head]
+        if head == "cube" and n >= MAX_VERTICES.bit_length():
+            # compare n itself: 2^n is never computed for a large n
+            raise _too_many(tokens, rest[1:], f"2^{n}")
+        _admit(tokens, rest[1:], count(n))
         try:
             return maker(n), rest[1:]
         except ValueError as e:
             raise InputError(str(e)) from None
     if head == "pyramid":
         base, rest2 = _parse_spec(rest)
+        _admit(tokens, rest2, len(base.vertices) + 1)
         return pyramid(base), rest2
     if head == "prism":
         base, rest2 = _parse_spec(rest)
+        _admit(tokens, rest2, 2 * len(base.vertices))
         return prism(base), rest2
     if head == "product":
         a, rest2 = _parse_spec(rest)
         b, rest3 = _parse_spec(rest2)
+        _admit(tokens, rest3, len(a.vertices) * len(b.vertices))
         return product(a, b), rest3
     raise InputError(f"unknown builtin {head!r}")
+
+
+def _admit(tokens: list, rest: list, count) -> None:
+    """Raise unless the spec read off tokens, up to rest, has at most
+    MAX_VERTICES vertices; called before the spec is built."""
+    if count > MAX_VERTICES:
+        raise _too_many(tokens, rest, count)
+
+
+def _too_many(tokens: list, rest: list, count) -> InputError:
+    spec = ":".join(tokens[: len(tokens) - len(rest)])
+    return InputError(
+        f"{spec} has {count} vertices; builtin inputs may have at most {MAX_VERTICES}"
+    )
 
 
 def parse_direction(text: str):
@@ -127,8 +156,8 @@ def _fmt_vec(h) -> list:
     return [str(x) if isinstance(x, Fraction) else x for x in h]
 
 
-def _subset_key(S) -> str:
-    return ",".join(str(i) for i in sorted(S))
+def _subset_key(mask: int) -> str:
+    return ",".join(map(str, bits(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +178,11 @@ def cmd_describe(lat: FaceLattice, args) -> dict:
 def cmd_flag(lat: FaceLattice, args) -> dict:
     f = flag_f(lat)
     h = flag_h(f)
+    order = sorted(range(1 << lat.dim), key=lambda m: (m.bit_count(), list(bits(m))))
     return {
-        "f": {_subset_key(S): v for S, v in sorted(f.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-        "h": {_subset_key(S): v for S, v in sorted(h.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-        "ab": ab_index(h).to_json(),
+        "f": {_subset_key(m): f.values[m] for m in order},
+        "h": {_subset_key(m): h.values[m] for m in order},
+        "ab": {w or "1": c for w, c in ab_index(h).items()},
     }
 
 

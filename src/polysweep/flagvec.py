@@ -1,9 +1,13 @@
-"""Flag f/h-vectors and the ab/cd word algebra.
+"""Flag f/h-vectors, the ab-index and the cd word algebra.
 
-Words live in plain strings over {a,b} or {c,d}; polynomials are dicts
-word -> coefficient wrapped in a small noncommutative-polynomial class.
-Coefficients are ints except where a computation genuinely produces
-half-integers (the symmetric sweep), in which case they are Fractions.
+A subset S of the ranks {0, ..., d-1} is an int mask with bit i set for
+each i in S, and a flag vector is a tuple with one value per mask.  The
+flag h-vector is the ab-index Psi = sum over S of h_S u_S, where the
+ab-word u_S has b exactly at the positions in S, so one tuple holds
+both.  cd-polynomials are dicts word -> coefficient wrapped in a small
+noncommutative-polynomial class.  Coefficients are ints except where a
+computation genuinely produces half-integers (the symmetric sweep), in
+which case they are Fractions.
 """
 
 from __future__ import annotations
@@ -16,21 +20,17 @@ from .errors import NotCDExpressible
 from .polytope import FaceLattice, bits
 
 
-def subsets_of(d: int):
-    """All subsets of {0, ..., d-1} as frozensets."""
-    for s in range(1 << d):
-        yield frozenset(i for i in range(d) if s >> i & 1)
-
-
 @dataclass(frozen=True)
 class FlagVector:
-    """Values indexed by subsets S of {0, ..., d-1}."""
+    """Values indexed by subset masks of {0, ..., d-1}; as the flag
+    h-vector, the coefficients of the ab-index."""
 
     d: int
-    values: dict  # frozenset[int] -> int
+    values: tuple  # values[mask]
 
     def __getitem__(self, S):
-        return self.values[frozenset(S)]
+        """The value at a subset given as an iterable of ranks."""
+        return self.values[sum(1 << i for i in set(S))]
 
 
 def flag_f(l: FaceLattice) -> FlagVector:
@@ -39,11 +39,9 @@ def flag_f(l: FaceLattice) -> FlagVector:
     The chains of S ending at each face of dimension max S extend those
     of S minus max S, so every nonempty S costs one level step."""
     d = l.dim
-    values = {frozenset(): 1}
+    values = [1] * (1 << d)
     ending: dict[int, dict] = {}  # subset mask -> face -> chains ending there
-    for mask, S in enumerate(subsets_of(d)):
-        if not S:
-            continue
+    for mask in range(1, 1 << d):
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
         if rest:
@@ -56,30 +54,31 @@ def flag_f(l: FaceLattice) -> FlagVector:
         else:
             cur = dict.fromkeys(l.by_dim.get(top, ()), 1)
         ending[mask] = cur
-        values[S] = sum(cur.values())
-    return FlagVector(d, values)
+        values[mask] = sum(cur.values())
+    return FlagVector(d, tuple(values))
 
 
 def flag_h(f: FlagVector) -> FlagVector:
-    """h_S = sum over T <= S of (-1)^(|S|-|T|) f_T."""
-    values = {}
-    for S in subsets_of(f.d):
-        total = 0
-        for T in _subsets_of_set(S):
-            sign = -1 if (len(S) - len(T)) % 2 else 1
-            total += sign * f.values[T]
-        values[S] = total
-    return FlagVector(f.d, values)
+    """h_S = sum over T <= S of (-1)^(|S|-|T|) f_T: the Moebius
+    transform, taken one rank at a time."""
+    h = list(f.values)
+    for k in range(f.d):
+        bit = 1 << k
+        for m in range(len(h)):
+            if m & bit:
+                h[m] -= h[m ^ bit]
+    return FlagVector(f.d, tuple(h))
 
 
-def _subsets_of_set(S: frozenset):
-    items = sorted(S)
-    for s in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if s >> i & 1)
+def ab_index(h: FlagVector) -> dict:
+    """Psi = sum over S of h_S u_S, where the ab-word u_S has b exactly
+    at the bits of S; as ab-word -> nonzero coefficient, in word order."""
+    words = ("".join("ab"[m >> i & 1] for i in range(h.d)) for m in range(len(h.values)))
+    return dict(sorted((w, c) for w, c in zip(words, h.values) if c))
 
 
 # ---------------------------------------------------------------------------
-# Noncommutative word polynomials.
+# Noncommutative cd-polynomials.
 
 
 def _norm_coeff(c):
@@ -88,11 +87,12 @@ def _norm_coeff(c):
     return c
 
 
-class WordPoly:
-    """Polynomial in noncommuting letters; multiplication concatenates."""
+class CDPolynomial:
+    """Polynomial in the noncommuting letters c (degree 1) and d
+    (degree 2); multiplication concatenates."""
 
-    letters = ""
-    letter_degree: dict = {}
+    letters = "cd"
+    letter_degree = {"c": 1, "d": 2}
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -145,9 +145,7 @@ class WordPoly:
         return type(self)(out)
 
     def __mul__(self, other):
-        if isinstance(other, WordPoly):
-            if type(other) is not type(self):
-                raise TypeError(f"cannot multiply by {type(other).__name__}")
+        if isinstance(other, CDPolynomial):
             out: dict = {}
             for u, cu in self.terms.items():
                 for v, cv in other.terms.items():
@@ -193,27 +191,6 @@ class WordPoly:
         return out
 
 
-class ABPolynomial(WordPoly):
-    letters = "ab"
-    letter_degree = {"a": 1, "b": 1}
-
-
-class CDPolynomial(WordPoly):
-    letters = "cd"
-    letter_degree = {"c": 1, "d": 2}
-
-
-def ab_index(h: FlagVector) -> ABPolynomial:
-    """Psi = sum over S of h_S w_S, where w_S has b exactly at the
-    positions in S."""
-    terms = {}
-    for S, hs in h.values.items():
-        w = "".join("b" if i in S else "a" for i in range(h.d))
-        if hs:
-            terms[w] = hs
-    return ABPolynomial(terms)
-
-
 @lru_cache(maxsize=None)
 def cd_words(degree: int) -> tuple:
     """All cd-words of the given degree, in lexicographic order (c < d)."""
@@ -236,52 +213,54 @@ def count_cd_words(d: int) -> int:
     return a
 
 
-_EXPAND = {"c": ("a", "b"), "d": ("ab", "ba")}
+@lru_cache(maxsize=None)
+def _expand(w: str) -> tuple:
+    """The masks of the ab-words of w(a+b, ab+ba): c puts a or b at its
+    position, d puts ab (b at its second position) or ba (b at its
+    first).  The first mask is w's marker, the image of c -> a, d -> ab,
+    which no other cd-word of the same degree shares."""
+    masks, i = [0], 0
+    for ch in w:
+        if ch == "c":
+            masks += [m | 1 << i for m in masks]
+            i += 1
+        else:
+            masks = [m | 2 << i for m in masks] + [m | 1 << i for m in masks]
+            i += 2
+    return tuple(masks)
 
 
-def ab_from_cd(phi: CDPolynomial) -> ABPolynomial:
-    """Expand by substituting c = a+b and d = ab+ba."""
-    out: dict = {}
+def ab_from_cd(phi: CDPolynomial) -> FlagVector:
+    """The flag h-vector of phi(a+b, ab+ba); phi must be homogeneous."""
+    d = phi.homogeneous_degree()
+    values = [0] * (1 << d)
     for w, c in phi.terms.items():
-        partials = [""]
-        for ch in w:
-            partials = [p + opt for p in partials for opt in _EXPAND[ch]]
-        for p in partials:
-            out[p] = out.get(p, 0) + c
-    return ABPolynomial(out)
+        for m in _expand(w):
+            values[m] += c
+    return FlagVector(d, tuple(values))
 
 
-def _marker(w: str) -> str:
-    """Injective image of a cd-word under c -> a, d -> ab."""
-    return w.replace("c", "a").replace("d", "ab")
-
-
-def cd_from_ab(psi: ABPolynomial) -> CDPolynomial:
-    """The unique Phi with Phi(a+b, ab+ba) = psi.
+def cd_from_ab(h: FlagVector) -> CDPolynomial:
+    """The unique Phi with Phi(a+b, ab+ba) = the ab-index of h.
 
     Greedy triangular elimination over cd-words in lexicographic order:
     the coefficient of each word is the residual coefficient of its
-    marker ab-word.  A nonzero final residual means psi is not a cd
-    polynomial (the source poset was not Eulerian) and raises.
+    marker ab-word.  A nonzero final residual means h is not the flag
+    h-vector of a cd polynomial (the source poset was not Eulerian) and
+    raises.
     """
-    if psi.is_zero():
-        return CDPolynomial.zero()
-    d = psi.homogeneous_degree()
-    residual = dict(psi.terms)
+    residual = list(h.values)
     out = {}
-    for w in cd_words(d):
-        c = residual.get(_marker(w), 0)
-        if c == 0:
-            continue
-        out[w] = c
-        for u, cu in ab_from_cd(CDPolynomial.word(w, c)).terms.items():
-            nc = residual.get(u, 0) - cu
-            if nc:
-                residual[u] = nc
-            else:
-                residual.pop(u, None)
-    if residual:
-        raise NotCDExpressible(f"residual ab-terms remain: {residual}")
+    for w in cd_words(h.d):
+        masks = _expand(w)
+        c = residual[masks[0]]
+        if c:
+            out[w] = c
+            for m in masks:
+                residual[m] -= c
+    if any(residual):
+        left = ab_index(FlagVector(h.d, tuple(residual)))
+        raise NotCDExpressible(f"residual ab-terms remain: {left}")
     return CDPolynomial(out)
 
 
@@ -291,4 +270,4 @@ def reverse_words(phi: CDPolynomial) -> CDPolynomial:
 
 def cd_index(l: FaceLattice) -> CDPolynomial:
     """The cd-index by the flag route: chains -> flag h -> ab -> cd."""
-    return cd_from_ab(ab_index(flag_h(flag_f(l))))
+    return cd_from_ab(flag_h(flag_f(l)))

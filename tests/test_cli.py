@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import polysweep
 from polysweep.cli import main, parse_input
@@ -202,12 +208,35 @@ def test_deep_sweep_flag(capsys):
     assert obj["cd"] == {"ccc": 1, "dc": 6, "cd": 4}
 
 
-def cli_process(*args, flags=()):
-    """A subprocess running the CLI of this checkout, stdout and stderr piped."""
+def cli_process(*args, flags=(), memory=None):
+    """A subprocess running the CLI of this checkout, stdout and stderr
+    piped; memory caps its address space in bytes."""
     env = {**os.environ, "PYTHONPATH": str(Path(polysweep.__file__).parents[1])}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
     return subprocess.Popen(
         [sys.executable, *flags, "-m", "polysweep.cli", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=cap if memory else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, count", [("cube:28", "2^28"), ("product:cube:7:cube:6", "8192")]
+)
+def test_oversized_builtin_exit_2(spec, count):
+    # capped and timed, so that building every vertex fails instead of
+    # filling the memory or running on
+    proc = cli_process("describe", "--input", spec, memory=1 << 30)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err.decode() == (
+        f"error: {spec} has {count} vertices; builtin inputs may have at most 4096\n"
     )
 
 
@@ -273,3 +302,73 @@ def test_malformed_negative_direction_exit_2(capsys, value):
 def test_method_outside_the_command_exit_2(capsys, command, message):
     assert main(command.split() + ["--input", "cube:2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: exit 0 or 2, never an exception.
+
+COORDINATES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["0", "1/2", "-3/4", "x", "", "1/0", "2e1", " 1 "]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+DOCUMENTS = st.fixed_dictionaries({
+    "dim": st.integers(-1, 3),
+    "vertices": st.lists(st.lists(COORDINATES, max_size=4), max_size=6),
+})
+
+SIZES = st.integers(-1, 5) | st.integers(10**6, 10**12)
+NAMES = ("simplex", "cube", "cross", "crosspolytope", "polygon")
+
+
+def _sized(sizes):
+    return st.builds("{}:{}".format, st.sampled_from(NAMES), sizes)
+
+
+# The hull has no time admission yet, so a product or prism takes only
+# sizes up to 2 (or huge ones, which the size check refuses), and the
+# 30-second cube:5 is left out.
+LEAVES = _sized(SIZES).filter(lambda s: s != "cube:5") | st.sampled_from(
+    ["point", "segment", "cube", "cube:x", "pentagon", "", "cube:2:junk"]
+)
+SMALL = _sized(st.integers(-1, 2) | st.integers(10**6, 10**12)) | st.just("point")
+SPECS = st.one_of(
+    LEAVES,
+    st.builds("pyramid:{}".format, SMALL),
+    st.builds("prism:{}".format, SMALL),
+    st.builds("product:{}:{}".format, SMALL, SMALL),
+)
+DIRECTIONS = st.none() | st.lists(
+    st.sampled_from(["1", "-3", "1/2", "0", "x", "1/0", "", " 2", "-"]), max_size=5
+).map(",".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from([["describe"], ["cdindex", "--method", "sweep"]]),
+    source=SPECS | DOCUMENTS,
+    direction=DIRECTIONS,
+)
+@example(command=["describe"], source="cube:28", direction=None)
+def test_malformed_input_exit_0_or_2(command, source, direction):
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(source, dict):
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w") as f:
+                json.dump(source, f)
+            source = path
+        argv = command + ["--input", source]
+        if direction is not None:
+            argv += ["--direction", direction]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refusing an argument
+                code = e.code
+    event(f"exit {code}")  # the spread shows under --hypothesis-show-statistics
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

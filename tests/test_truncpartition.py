@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
+import pytest
+
 import polysweep as ps
 from conftest import default_direction, lat
-from polysweep.flagvec import cd_index, flag_f
-from polysweep.sweep import choose_direction
+from polysweep.flagvec import CDPolynomial, cd_index, flag_f
+from polysweep.sweep import cd_sweep, choose_direction
 from polysweep.truncpartition import (
     Block,
     bottom_face,
@@ -21,7 +23,7 @@ def sweep_order(s):
 
 def chain_count_oracle(spec):
     """Chains of proper nonempty faces = sum of all flag numbers."""
-    return sum(flag_f(lat(spec)).values.values())
+    return sum(flag_f(lat(spec)).values)
 
 
 def test_enumerate_chains_counts():
@@ -134,7 +136,7 @@ def test_faces_without_vertex_share_block_with_top_face():
         for ch in b.faces:
             where[ch] = i
     for ch in enumerate_chains(pent):
-        if 0 not in chain_sigma(pent, ch):
+        if not chain_sigma(pent, ch) & 1:  # no vertex in the chain
             assert where[ch] == where[top_face(pent, s, ch)]
 
 
@@ -164,8 +166,8 @@ def test_adversarial_swap_detected():
     blocks = build_partition(pent, s)
     # swap two faces with different label sets between two blocks
     b0, b1 = blocks[0], blocks[1]
-    f0 = next(ch for ch in b0.faces if chain_sigma(pent, ch) == frozenset({0}))
-    f1 = next(ch for ch in b1.faces if chain_sigma(pent, ch) == frozenset({1}))
+    f0 = next(ch for ch in b0.faces if chain_sigma(pent, ch) == 0b01)
+    f1 = next(ch for ch in b1.faces if chain_sigma(pent, ch) == 0b10)
     tampered = [
         Block(b0.word, b0.owner, (b0.faces - {f0}) | {f1}),
         Block(b1.word, b1.owner, (b1.faces - {f1}) | {f0}),
@@ -202,13 +204,27 @@ def test_block_sigma_multiset_matches_word():
     pent, s = lat("polygon:5"), default_direction("polygon:5")
     blocks = build_partition(pent, s)
     big = next(b for b in blocks if b.word == "cc")
-    counts = {}
+    counts = [0] * 4
     for ch in big.faces:
-        S = chain_sigma(pent, ch)
-        counts[S] = counts.get(S, 0) + 1
-    assert counts == {
-        frozenset(): 1,
-        frozenset({0}): 2,
-        frozenset({1}): 2,
-        frozenset({0, 1}): 4,
-    }
+        counts[chain_sigma(pent, ch)] += 1
+    # the masks of {}, {0}, {1}, {0, 1}
+    assert counts == [1, 2, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["segment", "polygon:3", "polygon:5", "simplex:3", "cube:3", "cross:3",
+     "pyramid:polygon:4", "prism:polygon:3", "pyramid:polygon:5", "simplex:4",
+     "cross:4", "product:cube:2:polygon:3"],
+)
+def test_blocks_of_each_vertex_sum_to_its_sweep_part(spec):
+    # the partition refines the sweep: the words of the blocks a vertex
+    # owns add up to that vertex's part, in either sweep direction
+    l = lat(spec)
+    s1 = default_direction(spec)
+    for s in (s1, choose_direction(tuple(-x for x in s1.p), l.coords)):
+        owned = {vi: CDPolynomial.zero() for vi in range(l.n_vertices)}
+        for b in build_partition(l, s):
+            owned[b.owner] = owned[b.owner] + CDPolynomial.word(b.word)
+        per, _ = cd_sweep(l, s)
+        assert owned == per
