@@ -18,7 +18,7 @@ from .errors import (
     NotSimple,
     PolysweepError,
 )
-from .exactnum import affine_rank, dot, hyperplane_through, vec
+from .exactnum import affine_rank, dot, exact, vec
 from .flagvec import (
     CDPolynomial,
     FlagVector,

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import verify
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotInImage
+from .exactnum import exact
 from .flagvec import ab_index, cd_index, flag_f, flag_h
 from .polytope import (
     FaceLattice,
@@ -135,7 +136,7 @@ def _too_many(tokens: list, rest: list, count) -> InputError:
 
 def parse_direction(text: str):
     try:
-        return tuple(Fraction(x.strip()) for x in text.split(","))
+        return tuple(exact(x.strip()) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad direction {text!r}") from None
 

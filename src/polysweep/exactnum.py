@@ -2,15 +2,18 @@
 
 Scalars are Python ints where the values are integral and
 ``fractions.Fraction`` otherwise (arbitrary precision, always reduced,
-positive denominator), so every sign test downstream is exact.  Vectors
-are plain tuples.  Nothing here mutates its arguments; all values can
-be shared freely.
+positive denominator), so every sign test downstream is exact.
+``exact`` is the one entry point for a scalar from outside: it returns
+an int for an integral value, a reduced Fraction otherwise, refuses a
+float, and refuses a numeral string too long to read.  Vectors are
+plain tuples.  Nothing here mutates its arguments; all values can be
+shared freely.
 
 The elimination is fraction-free: each row is scaled to integers by the
 lcm of its denominators, rows are combined with integer multipliers,
-and every combined row is divided by its content.  Ranks, kernel
-vectors and hyperplane normals therefore come out of integer arithmetic
-alone, and normals are primitive int tuples.
+and every combined row is divided by its content.  Ranks and kernel
+vectors therefore come out of integer arithmetic alone, and a kernel
+line is a primitive int tuple.
 """
 
 from __future__ import annotations
@@ -19,13 +22,58 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateSpan
+from .errors import InputError
 
 QVector = tuple  # tuple of ints and Fractions
 
+# The most digits, and the largest exponent, of a numeral string.  The
+# values the CLI prints then stay far below Python's 4300-digit limit on
+# int to str: a 6-simplex whose coordinates are 1/b with 48-digit b, swept
+# by toric --method sweep under a direction of such numerals, prints polar
+# heights of about 2,000 digits.  And no numeral such as 1e200000000
+# expands into a huge integer.
+MAX_NUMERAL_DIGITS = 50
+
+
+def exact(x):
+    """x as an int when it is integral, a reduced Fraction otherwise.
+
+    x is an int, a Fraction (or another rational) or a numeral string
+    such as "-3", "7/2" or "1.5e3".  A float raises TypeError: its
+    binary value is rarely the number written (0.1 is not 1/10).  A
+    numeral with more than MAX_NUMERAL_DIGITS digits, or an exponent
+    beyond MAX_NUMERAL_DIGITS, raises InputError before it is parsed.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(
+            f"{x!r} is a float; give it as an exact rational, e.g. 1/10"
+        )
+    if isinstance(x, str):
+        x = _numeral(x)
+    elif not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _numeral(text: str) -> Fraction:
+    _, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if sum(map(str.isdigit, text)) > MAX_NUMERAL_DIGITS or (
+        exponent.isdecimal() and int(exponent) > MAX_NUMERAL_DIGITS
+    ):
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise InputError(
+            f"the numeral {shown!r} is refused: a numeral may have at most "
+            f"{MAX_NUMERAL_DIGITS} digits and an exponent of at most "
+            f"{MAX_NUMERAL_DIGITS} in absolute value"
+        )
+    return Fraction(text)
+
 
 def vec(*entries) -> QVector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(exact, entries))
 
 
 def dot(a: QVector, b: QVector):
@@ -111,39 +159,20 @@ def affine_rank(points) -> int:
     return len(_eliminate([vsub(p, p0) for p in points[1:]], len(p0))[1])
 
 
-# ---------------------------------------------------------------------------
-# Hyperplanes.
-
-
-def hyperplane_through(points, ambient_dim: int) -> tuple[tuple, object]:
-    """(normal, offset) of the hyperplane {x : normal.x = offset} spanned
-    by the points.  The normal is the primitive integer vector of the
-    one-dimensional kernel of the difference matrix, first nonzero entry
-    positive, so equal hyperplanes give equal pairs.
-
-    The points must span an affine subspace of dimension ambient_dim - 1.
-    """
-    points = list(points)
-    if not points:
-        raise DegenerateSpan("no points")
-    p0 = points[0]
-    n = len(p0)
-    rows, pivots = _eliminate([vsub(p, p0) for p in points[1:]], n)
-    if len(pivots) != ambient_dim - 1:
-        raise DegenerateSpan(
-            f"points span affine dimension {len(pivots)}, need {ambient_dim - 1}"
-        )
-    if len(pivots) != n - 1:
-        raise ValueError(f"points of R^{n} span no hyperplane of R^{ambient_dim}")
+def primitive_kernel(rows, ncols: int) -> tuple | None:
+    """The primitive integer vector spanning the kernel of the rows,
+    first nonzero entry positive, so that equal kernels give equal
+    vectors; None unless the rows have rank ncols - 1."""
+    echelon, pivots = _eliminate(rows, ncols)
+    if len(pivots) != ncols - 1:
+        return None
     # x[free] = L and x[pivot c] = -row[free] * L / row[c] solve every
     # row; L, the lcm of the pivots, keeps them integral
-    (free,) = set(range(n)).difference(pivots)
-    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    x = [0] * n
+    (free,) = set(range(ncols)).difference(pivots)
+    big = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    x = [0] * ncols
     x[free] = big
-    for row, c in zip(rows, pivots):
+    for row, c in zip(echelon, pivots):
         x[c] = -row[free] * (big // row[c])
-    normal = primitive(x)
-    if next(e for e in normal if e) < 0:
-        normal = tuple(-e for e in normal)
-    return normal, dot(normal, p0)
+    x = primitive(x)
+    return x if next(e for e in x if e) > 0 else tuple(-e for e in x)

@@ -37,13 +37,13 @@ on the way is re-swept and checked.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
 from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
-from .exactnum import QVector, affine_rank, dot, primitive, vsub
+from .exactnum import QVector, affine_rank, dot, exact, primitive, vsub
 from .flagvec import CDPolynomial, cd_index
 from .polytope import (
     FaceLattice,
@@ -62,15 +62,21 @@ class SweepDirection:
 
     Heights are pairwise distinct (checked).  For induced directions on
     sub-polytopes the heights may differ from p.x by a common constant;
-    only differences ever matter.
+    only differences ever matter.  The hash is computed once: every
+    memoized figure and section is looked up by the direction.
     """
 
     p: QVector
-    heights: tuple  # Fraction per vertex index
+    heights: tuple  # int or Fraction per vertex index
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.heights)) != len(self.heights):
             raise NotGeneric("two vertices have equal height")
+        object.__setattr__(self, "_hash", hash((self.p, self.heights)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -96,16 +102,16 @@ def choose_direction(p0, v: VRep) -> SweepDirection:
             raise InputError(
                 f"direction has {len(p0)} entries, the polytope has dimension {v.dim}"
             )
-        p0 = tuple(Fraction(x) for x in p0)
-        heights = tuple(dot(p0, x) for x in v.vertices)
+        p0 = tuple(map(exact, p0))
+        heights = tuple(exact(dot(p0, x)) for x in v.vertices)
         if len(set(heights)) != len(heights):
             raise NotGeneric("supplied direction gives equal heights")
         return SweepDirection(p0, heights)
     if v.dim == 0:
-        return SweepDirection((), (Fraction(0),))
+        return SweepDirection((), (0,))
     for t in range(2, 10000):
-        p = tuple(Fraction(t) ** i for i in range(v.dim))
-        heights = tuple(dot(p, x) for x in v.vertices)
+        p = tuple(t**i for i in range(v.dim))
+        heights = tuple(exact(dot(p, x)) for x in v.vertices)
         if len(set(heights)) == len(heights):
             return SweepDirection(p, heights)
     raise RuntimeError("direction ladder exhausted")  # pragma: no cover
@@ -132,7 +138,7 @@ def _slopes_for(lat, s, vi, a) -> dict:
             raise CrossCheckError(
                 f"functional {a} does not strictly support vertex {vi}"
             )
-        out[e] = (s.heights[wi] - s.heights[vi]) / den
+        out[e] = exact(Fraction(s.heights[wi] - s.heights[vi], den))
     return out
 
 
@@ -251,11 +257,11 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
         rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
     sub, face_parent, scale = _slice(lat, edges, list(bits(lat.up[vf])), rays, a)
 
-    heights = tuple(s.heights[vi] + slopes[e] for e in edges)
+    heights = tuple(exact(s.heights[vi] + slopes[e]) for e in edges)
     # the induced direction is s.p restricted to the cut plane, over the
     # scale; that the heights from the slopes are affine in it checks
     # the projection
-    q = tuple(x / scale for x in _restrict(s.p, a, *_cut(a)))
+    q = tuple(exact(Fraction(x, scale)) for x in _restrict(s.p, a, *_cut(a)))
     ys = sub.coords.vertices
     offset = heights[0] - dot(q, ys[0])
     if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
@@ -314,7 +320,7 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
         j1, j2 = q.edge_endpoints(e)
         if qheights[j1] < qheights[j2]:
             j1, j2 = j2, j1  # j1 above, j2 below
-        lam = (hv - qheights[j2]) / (qheights[j1] - qheights[j2])
+        lam = Fraction(hv - qheights[j2], qheights[j1] - qheights[j2])
         y1, y2 = q.coords.vertices[j1], q.coords.vertices[j2]
         points.append(tuple(b + lam * (a - b) for a, b in zip(y1, y2)))
     # Q's empty face, whose parent is {v}, becomes the section's

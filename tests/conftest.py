@@ -3,6 +3,7 @@
 import functools
 
 import polysweep as ps
+from fraction_rref import hyperplane_through
 from polysweep.cli import parse_input
 
 
@@ -24,7 +25,7 @@ def eliminated_facets(l: ps.FaceLattice) -> list:
     pts = l.coords.vertices
     out = []
     for fi in l.by_dim[l.dim - 1]:
-        normal, offset = ps.hyperplane_through([pts[i] for i in l.vertices_of(fi)], l.dim)
+        normal, offset = hyperplane_through([pts[i] for i in l.vertices_of(fi)], l.dim)
         off = next(p for i, p in enumerate(pts) if not l.masks[fi] >> i & 1)
         if ps.dot(normal, off) > offset:
             normal, offset = tuple(-x for x in normal), -offset

@@ -3,10 +3,14 @@ that the integer kernel in ``polysweep.exactnum`` is tested against.
 
 No library code calls these; they are kept as oracles.  Entries may be
 ints or Fractions; the arithmetic is always over Fraction.
+``hyperplane_through`` is the oracle for the facet hyperplanes that
+``hull_lattice`` finds from integer rows.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from polysweep.errors import DegenerateSpan
 
 
 def row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -81,3 +85,27 @@ def canonical_integer_vector(v) -> tuple:
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def hyperplane_through(points, ambient_dim: int) -> tuple[tuple, object]:
+    """(normal, offset) of the hyperplane {x : normal.x = offset} spanned
+    by the points.  The normal is the primitive integer vector of the
+    one-dimensional kernel of the difference matrix, first nonzero entry
+    positive, so equal hyperplanes give equal pairs.
+
+    The points must span an affine subspace of dimension ambient_dim - 1.
+    """
+    points = list(points)
+    if not points:
+        raise DegenerateSpan("no points")
+    p0 = points[0]
+    n = len(p0)
+    diffs = [[Fraction(x) - y for x, y in zip(p, p0)] for p in points[1:]]
+    rank = matrix_rank(diffs)
+    if rank != ambient_dim - 1:
+        raise DegenerateSpan(f"points span affine dimension {rank}, need {ambient_dim - 1}")
+    if rank != n - 1:
+        raise ValueError(f"points of R^{n} span no hyperplane of R^{ambient_dim}")
+    (kernel,) = null_space(diffs or [[0] * n])
+    normal = tuple(int(x) for x in canonical_integer_vector(kernel))
+    return normal, sum(Fraction(a) * b for a, b in zip(normal, p0))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import polysweep
 from polysweep.cli import main, parse_input
 from polysweep.errors import InputError
+from polysweep.exactnum import MAX_NUMERAL_DIGITS
 from polysweep.polytope import vrep_to_json
 
 
@@ -240,6 +241,35 @@ def test_oversized_builtin_exit_2(spec, count):
     )
 
 
+HUGE_NUMERALS = ["1e5000", "1e200000000"]
+
+
+def _triangle_with(token: str) -> dict:
+    return {"dim": 2, "vertices": [["0", "0"], [token, "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("token", HUGE_NUMERALS)
+@pytest.mark.parametrize("place", ["direction", "coordinate"])
+def test_huge_numeral_exit_2(tmp_path, place, token):
+    # timed: read in full, 1e5000 cannot be printed as a height and
+    # 1e200000000 takes minutes to expand
+    if place == "direction":
+        source = ["--input", "polygon:5", "--direction", f"{token},1"]
+    else:
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(_triangle_with(token)))
+        source = ["--input", str(path)]
+    proc = cli_process("cdindex", "--method", "sweep", *source)
+    try:
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert f"at most {MAX_NUMERAL_DIGITS} digits" in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_closed_stdout_exit_2(fmt):
     # the reader goes away before the command writes anything
@@ -353,6 +383,10 @@ DIRECTIONS = st.none() | st.lists(
     direction=DIRECTIONS,
 )
 @example(command=["describe"], source="cube:28", direction=None)
+@example(command=["cdindex", "--method", "sweep"], source="polygon:5", direction="1e5000,1")
+@example(command=["cdindex", "--method", "sweep"], source=_triangle_with("1e5000"), direction=None)
+@example(command=["cdindex", "--method", "sweep"], source="polygon:5", direction="1e200000000,1")
+@example(command=["cdindex", "--method", "sweep"], source=_triangle_with("1e200000000"), direction=None)
 def test_malformed_input_exit_0_or_2(command, source, direction):
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(source, dict):

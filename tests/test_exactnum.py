@@ -4,18 +4,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_rref import canonical_integer_vector, null_space
+from fraction_rref import canonical_integer_vector, hyperplane_through, null_space
 from fraction_rref import matrix_rank as fraction_rank
-from polysweep.errors import DegenerateSpan
+from polysweep.errors import DegenerateSpan, InputError
 from polysweep.exactnum import (
+    MAX_NUMERAL_DIGITS,
     affine_rank,
     dot,
-    hyperplane_through,
+    exact,
     matrix_rank,
     primitive,
+    primitive_kernel,
     vec,
     vsub,
 )
+
+
+def test_exact_is_an_int_where_integral():
+    for x, want in ((3, 3), (F(6, 2), 3), ("-4/2", -2), ("2e1", 20), (" 7 ", 7),
+                    (F(1, 2), F(1, 2)), ("0.25", F(1, 4)), ("3/6", F(1, 2))):
+        assert exact(x) == want and type(exact(x)) is type(want), x
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(ValueError):
+        exact("x")
+
+
+def test_exact_refuses_huge_numerals_before_parsing():
+    n = MAX_NUMERAL_DIGITS
+    assert exact("9" * n) == 10**n - 1
+    assert exact(f"1e{n}") == 10**n and exact(f"1e-{n}") == F(1, 10**n)
+    for text in ("9" * (n + 1), f"1e{n + 1}", f"1E-{n + 1}", f"1e+{n + 1}",
+                 "1e200000000", "1e" + "9" * 5000, f"1/{'3' * n}"):
+        with pytest.raises(InputError, match=f"at most {n} digits"):
+            exact(text)
 
 
 def test_dot():
@@ -118,13 +140,21 @@ def test_integer_kernel_matches_the_fraction_oracle(case, offset):
     points = [p0] + [tuple(x + y for x, y in zip(p0, r)) for r in rows]
     assert affine_rank(points) == rank
     if rank != n - 1:
+        assert primitive_kernel(rows, n) is None
         with pytest.raises(DegenerateSpan):
             hyperplane_through(points, n)
         return
+    (kernel,) = null_space(rows)
+    line = primitive_kernel(rows, n)
+    assert line == canonical_integer_vector(kernel)
+    assert all(type(x) is int for x in line)
+    # the hull's rows: point p is (m p, -m), and the kernel line of the
+    # rows of points spanning a hyperplane is (normal, offset) up to a
+    # positive factor
     normal, offset = hyperplane_through(points, n)
-    (kernel,) = null_space([vsub(p, p0) for p in points[1:]])
-    assert normal == canonical_integer_vector(kernel)
-    assert all(type(x) is int for x in normal)
+    h = primitive_kernel([tuple(3 * x for x in p) + (-3,) for p in points], n + 1)
+    assert primitive(h[:n]) == normal
+    assert all(dot(h[:n], p) == h[n] for p in points)
     assert offset == dot(normal, p0)
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
+from cli_compare import DIRECTIONS
+from cli_compare import SPECS as CORPUS_SPECS
 from conftest import default_direction, eliminated_facets, lat
+from polysweep.cli import parse_direction
 from polysweep.errors import NonVertexPoint, NotFullDimensional
 from polysweep.exactnum import vec
 from polysweep.polytope import (
@@ -15,7 +18,7 @@ from polysweep.polytope import (
     vrep_from_json,
     vrep_to_json,
 )
-from polysweep.sweep import sweep_section, vertex_figure
+from polysweep.sweep import choose_direction, sweep_section, vertex_figure
 
 
 def cube_f_oracle(d):
@@ -256,6 +259,44 @@ def test_every_constructor_output_eulerian():
         "product:simplex:2:simplex:2",
     ):
         assert ps.is_eulerian(lat(spec))
+
+
+def test_float_coordinates_raise_type_error():
+    with pytest.raises(TypeError):
+        VRep(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+
+
+def exactly_typed(x) -> bool:
+    """An int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is F and x.denominator > 1)
+
+
+# integral values written as a rational, a decimal and an exponent too
+RATIONAL_INPUT = {"dim": 3, "vertices": [
+    ["0", "4/2", "0"], ["1/2", "2", "0"], ["0", "8/3", "0"], ["0", "2", "3/4"],
+    ["1.5", "4", "2e-1"],
+]}
+
+
+@pytest.mark.parametrize("spec", [*CORPUS_SPECS, "json"])
+def test_scalars_are_ints_where_integral(spec):
+    """Every coordinate, printed height, facet offset and polar
+    coordinate is an int, or a Fraction only where it is not integral."""
+    if spec == "json":
+        l = ps.hull_lattice(vrep_from_json(RATIONAL_INPUT))
+    else:
+        l = lat(spec)
+    polar = ps.polar_dual(l)
+    scalars = [x for v in (l.coords, polar) for p in v.vertices for x in p]
+    scalars += [offset for _, offset in (l.facets or {}).values()]
+    directions = [None] + ([parse_direction(DIRECTIONS[l.dim])] if l.dim else [])
+    for v in (l.coords, polar):
+        for p in directions:
+            scalars += choose_direction(p, v).heights
+    assert all(map(exactly_typed, scalars))
+    if spec == "json":
+        assert type(l.coords.vertices[0][1]) is int
+        assert any(type(x) is F for x in scalars)
 
 
 def test_vrep_json_roundtrip():
