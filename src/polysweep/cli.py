@@ -148,7 +148,7 @@ def _sweep_order(s):
 def _per_vertex(s, per: dict, name: str, fmt) -> list:
     """Each vertex's part in sweep order, with the vertex's height."""
     return [
-        {"vertex": vi, "height": str(s.heights[vi]), name: fmt(per[vi])}
+        {"vertex": vi, "height": _printed(str, s.heights[vi]), name: fmt(per[vi])}
         for vi in _sweep_order(s)
     ]
 
@@ -280,24 +280,27 @@ def cmd_verify(lat: FaceLattice, args) -> dict:
 # Table rendering and entry point.
 
 
-def _render_table(payload: dict, out) -> None:
+def _render_table(payload: dict) -> str:
+    lines = []
+
     def walk(obj, indent=""):
         if isinstance(obj, dict):
             for k, v in obj.items():
                 if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                    print(f"{indent}{k}:", file=out)
+                    lines.append(f"{indent}{k}:")
                     walk(v, indent + "  ")
                 else:
-                    print(f"{indent}{k}: {_flat(v)}", file=out)
+                    lines.append(f"{indent}{k}: {_flat(v)}")
         elif isinstance(obj, list):
             for v in obj:
                 if isinstance(v, (dict, list)) and v and not _is_flat(v):
                     walk(v, indent + "  ")
-                    print(file=out)
+                    lines.append("")
                 else:
-                    print(f"{indent}- {_flat(v)}", file=out)
+                    lines.append(f"{indent}- {_flat(v)}")
 
     walk(payload)
+    return "".join(line + "\n" for line in lines)
 
 
 def _is_flat(v) -> bool:
@@ -314,6 +317,20 @@ def _flat(v) -> str:
     if isinstance(v, list):
         return "[" + ", ".join(str(x) for x in v) + "]"
     return str(v)
+
+
+def _render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _printed(render, value) -> str:
+    """render(value), text of the result; a number in it too long for
+    str (Python's limit is 4300 digits) raises InputError.  The whole
+    result is rendered before anything is written."""
+    try:
+        return render(value)
+    except ValueError as e:
+        raise InputError(f"the result cannot be printed: {e}") from None
 
 
 COMMANDS = {
@@ -386,6 +403,8 @@ def main(argv=None) -> int:
         lat = hull_lattice(vrep)
         payload = {"schema": SCHEMA, "command": args.command, "input": args.input}
         payload.update(COMMANDS[args.command](lat, args))
+        table = args.format == "table" and not args.output
+        text = _printed(_render_table if table else _render_json, payload)
     except (InputError, NotCDExpressible) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -396,13 +415,9 @@ def main(argv=None) -> int:
     try:
         if args.output:
             with open(args.output, "w") as f:
-                json.dump(payload, f, indent=2)
-                f.write("\n")
-        elif args.format == "json":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
+                f.write(text)
         else:
-            _render_table(payload, sys.stdout)
+            sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as e:
         target = args.output or "standard output"

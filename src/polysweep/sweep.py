@@ -13,25 +13,36 @@ vertex v the machinery builds
 Both carry exact integer coordinates so the construction can recurse.
 The depth of the cut never matters: every comparison the recursion makes
 is decided by vertex heights and edge slopes.  Both cuts are in closed
-form: the points lie on a known hyperplane, so dropping one coordinate
-projects them injectively, and the sweep functional restricted to that
-hyperplane is the induced direction.  A figure's points are then
-translated to put v at the origin, and both are scaled by their common
-denominator, which changes no sign test: the induced functional is
-divided by the same factor, so heights stay as they were.  One routine,
-``_slice``, makes both: a figure is the polytope sliced across the edges
-at v, a section is the figure sliced across its edges that cross
-height(v).  The facets of a slice are cut from facets of the polytope
-above it, so their normals are inherited: the parent's outward normal
-restricted to the cut plane, made primitive.  No elimination runs for
-them; only ``hull_lattice`` eliminates, and it keeps the hyperplane of
-each facet it finds.
+form: the points lie on a known hyperplane, so dropping one coordinate k
+projects them injectively.  A figure's points are translated to put v at
+the origin, and both are scaled by their common denominator m to
+integers.  One routine, ``_slice``, makes both: a figure is the polytope
+sliced across the edges at v, a section is the figure sliced across its
+edges that cross the sweep hyperplane through v.  The facets of a slice
+are cut from facets of the polytope above it, so their normals are
+inherited: the parent's outward normal restricted to the cut plane, made
+primitive.  No elimination runs for them; only ``hull_lattice``
+eliminates, and it keeps the hyperplane of each facet it finds.
+
+A figure's direction is integral.  With a the support normal at v and σ
+the sign of a_k, the sweep functional p restricted to the cut plane is a
+positive multiple of the integer functional σ(a_k p_i - p_k a_i) on the
+kept coordinates; less the constant σ m p_k, it gives sub-vertex j the
+height |a_k| m slope(e_j).  So v sits at height 0 in its figure, and
+"above v" is a positive height, at every level.
+
+A cut depends on its hyperplane only, not on the way the sweep runs.
+The support normal depends on the direction only through which edge
+slopes are distinct, so s and -s have the same one, and a figure's cut
+is kept per support normal; a section is kept per vertex and ±p.  The
+reverse sweep in ``verify`` therefore slices nothing the forward sweep
+and the symmetric sweep have not sliced.
 
 The recursion sweeps every vertex of the polytope it is given, because
 each per-vertex part is reported.  Inside a vertex figure only the
-parts of sub-vertices above height(v) are read, so only those are
-swept; with deep=True every sub-vertex is swept, so that every section
-on the way is re-swept and checked.
+parts of sub-vertices above v are read, so only those are swept; with
+deep=True every sub-vertex is swept, so that every section on the way
+is re-swept and checked.
 """
 
 from __future__ import annotations
@@ -60,10 +71,12 @@ UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
 class SweepDirection:
     """A functional p plus the height of every vertex.
 
-    Heights are pairwise distinct (checked).  For induced directions on
-    sub-polytopes the heights may differ from p.x by a common constant;
-    only differences ever matter.  The hash is computed once: every
-    memoized figure and section is looked up by the direction.
+    Heights are pairwise distinct (checked).  On a vertex figure the
+    heights differ from p.x by a common constant, which puts the figure's
+    vertex v at 0; only differences ever matter.  The directions of
+    figures and sections are integral, p and heights alike; only a
+    direction supplied by the caller may hold Fractions.  The hash is
+    computed once: every memoized figure is looked up by the direction.
     """
 
     p: QVector
@@ -84,9 +97,12 @@ class SubPolytope:
     """A vertex figure or section: derived lattice, exact coordinates,
     and the map back to the parent's faces.
 
-    A figure's direction is induced: sub-vertex j has height
-    height(v) + slope of the j-th edge at v, so the figure's heights are
-    the one record of the order at v.  A section's is the ladder's."""
+    A figure's direction is induced and integral: sub-vertex j has
+    height λ slope(e_j) for the j-th edge e_j at v, with one λ > 0 per
+    figure (|a_k| m, times the lcm of the denominators of p), so v sits
+    at 0 and the figure's heights are the one record of the order at v.
+    A section's is the ladder's.  The lattice of a figure is shared by
+    the directions with the same support normal, s and -s among them."""
 
     lattice: FaceLattice
     direction: SweepDirection
@@ -180,10 +196,14 @@ def _cut(normal: QVector) -> tuple[list[int], int]:
 
 
 def _restrict(p: QVector, normal: QVector, cols: list, k: int) -> QVector:
-    """The linear part of p on the hyperplane normal.y = b, in the kept
-    coordinates: p.y = q.y[cols] + (p_k / normal_k) b."""
-    r = Fraction(p[k], normal[k])
-    return tuple(p[i] - r * normal[i] for i in cols)
+    """A positive multiple of the linear part of p on the hyperplane
+    normal.y = b, in the kept coordinates: with σ the sign of normal_k,
+    q_i = σ(normal_k p_i - p_k normal_i), and q.y[cols] + σ p_k b =
+    |normal_k| p.y.  Integral when p and normal are."""
+    nk, pk = normal[k], p[k]
+    if nk < 0:
+        nk, pk = -nk, -pk
+    return tuple(nk * p[i] - pk * normal[i] for i in cols)
 
 
 def _project(points: list, cols: list, dim: int) -> tuple[VRep, int]:
@@ -210,7 +230,8 @@ def _slice(lat: FaceLattice, edges, faces, points, plane):
     scaled to integers.  A facet of the slice is cut from a facet of lat,
     and its outward normal is that facet's restricted to the plane, made
     primitive: restriction changes a functional on the plane only by a
-    constant, and the projection and scaling are positive.
+    constant and a positive factor, and the projection and scaling are
+    positive.  The slice is the same for plane and -plane.
     """
     dim = lat.dim - 1
     cols, k = _cut(plane)
@@ -230,45 +251,55 @@ def _slice(lat: FaceLattice, edges, faces, points, plane):
 
 
 @memoized
-def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
-    """The vertex figure at vi, with integer coordinates, the induced
-    sweep direction and the facet normals inherited from lat.
-
-    Sub-vertex j sits on the j-th edge at v (edges in mask order) where
-    it crosses the plane a.x = a.v - 1; its induced height is
-    height(v) + slope(edge).  The coordinates are those points minus v,
-    projected and scaled to integers.  The figure's faces are the faces
-    containing v, with dimension dropped by one.
-    """
-    d = lat.dim
-    if d < 1:
-        raise ValueError("a vertex figure needs dimension at least 1")
+def _figure_cut(lat: FaceLattice, vi: int, a: tuple) -> tuple:
+    """(sub-lattice, face map, scale m) of the cut of the tangent cone at
+    vi by the plane a.x = a.v - 1, translated to put v at the origin;
+    kept per support normal a, so every direction with that normal
+    shares it."""
     pts = lat.coords.vertices
-    a, slopes = support_normal(lat, s, vi)
-    vf = lat.index[1 << vi]
-    edges = lat.faces_at_vertex(vi, 1)
-
-    # sub-vertex j is v + rays[j], on the cut plane a . y = a . v - 1
     v = pts[vi]
+    edges = lat.faces_at_vertex(vi, 1)
+    # sub-vertex j is v + rays[j], on the cut plane a . y = a . v - 1
     rays = []
     for e in edges:
         w = pts[_other_endpoint(lat, e, vi)]
         t = dot(a, vsub(v, w))
         rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
-    sub, face_parent, scale = _slice(lat, edges, list(bits(lat.up[vf])), rays, a)
+    return _slice(lat, edges, list(bits(lat.up[lat.index[1 << vi]])), rays, a)
 
-    heights = tuple(exact(s.heights[vi] + slopes[e]) for e in edges)
-    # the induced direction is s.p restricted to the cut plane, over the
-    # scale; that the heights from the slopes are affine in it checks
-    # the projection
-    q = tuple(exact(Fraction(x, scale)) for x in _restrict(s.p, a, *_cut(a)))
-    ys = sub.coords.vertices
-    offset = heights[0] - dot(q, ys[0])
-    if any(dot(q, y) + offset != h for y, h in zip(ys, heights)):
-        raise CrossCheckError(
-            f"induced heights at vertex {vi} are not affine in the cut coordinates"
-        )
-    return SubPolytope(sub, SweepDirection(q, heights), face_parent, vf)
+
+@memoized
+def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
+    """The vertex figure at vi, with integer coordinates, the induced
+    integral sweep direction and the facet normals inherited from lat.
+
+    Sub-vertex j sits on the j-th edge at v (edges in mask order) where
+    it crosses the plane a.x = a.v - 1.  The coordinates are those points
+    minus v, projected and scaled by m to integers.  The figure's faces
+    are the faces containing v, with dimension dropped by one.  Its
+    functional is s.p, scaled by the lcm L of its denominators and
+    restricted to the cut plane; less the constant σ m p_k it gives
+    sub-vertex j the height L |a_k| m slope(e_j), which is checked
+    against the slopes.
+    """
+    if lat.dim < 1:
+        raise ValueError("a vertex figure needs dimension at least 1")
+    a, slopes = support_normal(lat, s, vi)
+    sub, face_parent, m = _figure_cut(lat, vi, a)
+    cols, k = _cut(a)
+    scale = lcm(*(x.denominator for x in s.p))
+    p = s.p if scale == 1 else tuple(x.numerator * (scale // x.denominator) for x in s.p)
+    f = _restrict(p, a, cols, k)
+    base = m * p[k] if a[k] > 0 else -m * p[k]
+    heights = tuple(dot(f, y) - base for y in sub.coords.vertices)
+    factor = scale * abs(a[k]) * m
+    # slopes are keyed by the edges at vi in mask order, as the sub-vertices
+    for h, slope in zip(heights, slopes.values(), strict=True):
+        if h * slope.denominator != factor * slope.numerator:
+            raise CrossCheckError(
+                f"induced heights at vertex {vi} are not the slopes in the cut coordinates"
+            )
+    return SubPolytope(sub, SweepDirection(f, heights), face_parent, lat.index[1 << vi])
 
 
 def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
@@ -293,36 +324,47 @@ def is_extreme(lat: FaceLattice, s: SweepDirection, vi: int) -> bool:
     return hv == min(s.heights) or hv == max(s.heights)
 
 
-@memoized
 def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
     """The vertex figure cut by the sweep hyperplane through v; None
     below dimension 2 and when v is the global minimum or maximum.
 
-    The cut meets the faces of the figure Q with sub-vertices on both
-    sides of height(v), which are the middle faces at v.  Sub-vertex k
-    is where the k-th edge of Q crossing height(v) does so, edges in the
-    mask order of their parent 2-faces.  Faces are the middle faces at
-    v, dimension dropped by two.  The section's direction is the ladder
-    direction on its own coordinates, since the sweep is constant on it.
+    Kept per vertex and ±s.p: s and -s cut the same hyperplane through
+    the same figure lattice, so they share the section object.
+    """
+    p = s.p
+    if next((x for x in p if x), 0) < 0:
+        p = tuple(-x for x in p)
+    key = ("sweep_section", vi, p)
+    memo = lat._memo
+    if key not in memo:
+        memo[key] = _section(lat, s, vi)
+    return memo[key]
+
+
+def _section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
+    """The cut meets the faces of the figure Q with sub-vertices on both
+    sides of v, which sits at height 0 in Q; these are the middle faces
+    at v.  Sub-vertex k is where the k-th edge of Q crossing height 0
+    does so, at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1 to y2,
+    edges in the mask order of their parent 2-faces; neither depends on
+    the sign of the heights.  Faces are the middle faces at v, dimension
+    dropped by two.  The section's direction is the ladder direction on
+    its own coordinates, since the sweep is constant on it.
     """
     if lat.dim < 2 or is_extreme(lat, s, vi):
         return None
     qv = vertex_figure(lat, s, vi)
     q, qheights = qv.lattice, qv.direction.heights
-    hv = s.heights[vi]
 
-    # sub-vertex heights differ from hv by a nonzero slope
-    above = sum(1 << j for j, h in enumerate(qheights) if h > hv)
+    above = sum(1 << j for j, h in enumerate(qheights) if h > 0)
     met = [i for i, m in enumerate(q.masks) if m & above and m & ~above]
     crossing = sorted((i for i in met if q.dims[i] == 1), key=qv.face_parent.__getitem__)
     points = []
     for e in crossing:
         j1, j2 = q.edge_endpoints(e)
-        if qheights[j1] < qheights[j2]:
-            j1, j2 = j2, j1  # j1 above, j2 below
-        lam = Fraction(hv - qheights[j2], qheights[j1] - qheights[j2])
+        h1, h2 = qheights[j1], qheights[j2]
         y1, y2 = q.coords.vertices[j1], q.coords.vertices[j2]
-        points.append(tuple(b + lam * (a - b) for a, b in zip(y1, y2)))
+        points.append(tuple(Fraction(h1 * x2 - h2 * x1, h1 - h2) for x1, x2 in zip(y1, y2)))
     # Q's empty face, whose parent is {v}, becomes the section's
     sub, in_figure, _ = _slice(q, crossing, [0] + met, points, qv.direction.p)
     return SubPolytope(
@@ -382,8 +424,9 @@ def _sweep_parts(
     alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
 ) -> dict:
     """The per-vertex parts of the vertices in wanted only.  A figure's
-    parts are read at its sub-vertices above height(v), so only those
-    are swept; with deep=True all are, to check every section."""
+    parts are read at its sub-vertices above v, those of positive
+    height, so only those are swept; with deep=True all are, to check
+    every section."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}
@@ -395,7 +438,7 @@ def _sweep_parts(
             per[vi] = term
             continue
         qv = vertex_figure(lat, s, vi)
-        up = [j for j, h in enumerate(qv.direction.heights) if h > s.heights[vi]]
+        up = [j for j, h in enumerate(qv.direction.heights) if h > 0]
         swept = range(qv.lattice.n_vertices) if deep else up
         sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
         for j in up:

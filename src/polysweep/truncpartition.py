@@ -94,8 +94,8 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     if rest and l.dims[rest[0]] < 2:
         raise CrossCheckError(f"chain {chain} already has a face of dimension 1")
     f2 = rest[0] if rest else full
-    # the figure's sub-vertex j is on the j-th edge at v, at height
-    # height(v) + slope
+    # the figure's sub-vertex j is on the j-th edge at v, at a positive
+    # multiple of its slope
     edges = l.faces_at_vertex(vi, 1)
     inside = [j for j, e in enumerate(edges) if l.down[f2] >> e & 1]
     heights = vertex_figure(l, s, vi).direction.heights
@@ -178,7 +178,8 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
                     keys.append(key_of[mid])
                 records.append(("d" + word, vi, keys))
         for word, owner_w, sub_chains in _partition(qv.lattice, qv.direction):
-            if qv.direction.heights[owner_w] > s.heights[vi]:
+            # v sits at height 0 in its figure
+            if qv.direction.heights[owner_w] > 0:
                 keys = []
                 for sc in sub_chains:
                     up = map_chain(qv, sc)

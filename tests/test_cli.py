@@ -281,6 +281,31 @@ def test_closed_stdout_exit_2(fmt):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_oversized_number_in_the_result_exit_2(monkeypatch, tmp_path, capsys, fmt):
+    # 10**5000 is past Python's 4300-digit limit on int to str; the
+    # result is rendered whole before anything is written
+    monkeypatch.setitem(polysweep.cli.COMMANDS, "describe", lambda lat, args: {"n": 10**5000})
+    target = tmp_path / "res.json"
+    for extra in (["--format", fmt], ["--format", fmt, "--output", str(target)]):
+        code = main(["describe", "--input", "point", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the result cannot be printed: ")
+        assert not target.exists()
+
+
+def test_oversized_height_exit_2(monkeypatch, capsys):
+    # the heights are printed as strings while the result is built
+    monkeypatch.setattr(polysweep.cli, "parse_direction", lambda text: (10**5000, 1))
+    code = main(["cdindex", "--method", "sweep", "--input", "polygon:5", "--direction", "1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the result cannot be printed: ")
+
+
 def test_optimized_interpreter_prints_the_same():
     # invariants are explicit raises, so python -O changes nothing
     runs = []

@@ -8,12 +8,15 @@ import polysweep as ps
 import polysweep.sweep as sweep_mod
 import polysweep.truncpartition as partition_mod
 from conftest import default_direction, eliminated_facets, lat
-from polysweep.cli import parse_input
+from polysweep.cli import parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
+from test_cli_corpus import DIRECTIONS as CORPUS_DIRECTIONS
+from test_cli_corpus import SPECS as CORPUS_SPECS
 from polysweep.exactnum import matrix_rank, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
 from polysweep.polytope import facet_hyperplanes
+from polysweep.verify import run_verification
 from polysweep.sweep import (
     MIDDLE,
     UPPER,
@@ -196,15 +199,17 @@ def test_section_geometry_matches_derived_lattice():
      "simplex:4", "prism:polygon:5", "cube:4"],
 )
 def test_figure_heights_are_height_plus_slope(spec):
-    # the figure's heights are the one record of the edge order at v
+    # the figure's heights are the one record of the edge order at v:
+    # v sits at height 0 in its figure, and sub-vertex j at 0 plus one
+    # λ > 0 times the slope of the j-th edge at v, an int
     l, s = lat(spec), default_direction(spec)
     for vi in range(l.n_vertices):
         q = vertex_figure(l, s, vi)
         _, slopes = support_normal(l, s, vi)
         edges = l.faces_at_vertex(vi, 1)
-        assert [h - s.heights[vi] for h in q.direction.heights] == [
-            slopes[e] for e in edges
-        ]
+        assert all(type(h) is int for h in q.direction.heights)
+        (lam,) = {F(h, slopes[e]) for h, e in zip(q.direction.heights, edges)}
+        assert lam > 0
 
 
 def test_vertex_figure_counts():
@@ -384,18 +389,31 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
 
 
 def test_figure_memo_keys_on_the_direction():
+    """s and -s cut the same hyperplanes: their figures share the lattice
+    and differ in the sign of the heights, and they share the section
+    object.  A direction not proportional to s gets its own figures and
+    sections; a figure lattice is shared exactly when the support normals
+    agree."""
     l = ps.hull_lattice(parse_input("cross:3"))
     s1 = ps.choose_direction(None, l.coords)
     s2 = ps.choose_direction(tuple(-x for x in s1.p), l.coords)
+    s3 = ps.choose_direction((3, -1, 7), l.coords)
     fresh = ps.hull_lattice(parse_input("cross:3"))
+    other = 0
     for vi in range(l.n_vertices):
-        q1, q2 = vertex_figure(l, s1, vi), vertex_figure(l, s2, vi)
-        assert q1 is not q2
-        assert q1.direction != q2.direction
+        q1, q2, q3 = (vertex_figure(l, s, vi) for s in (s1, s2, s3))
+        assert q1 is not q2 and q1 is not q3
+        assert q1.lattice is q2.lattice
+        assert q2.direction.heights == tuple(-h for h in q1.direction.heights)
         assert q2.direction == vertex_figure(fresh, s2, vi).direction
-        r1, r2 = sweep_section(l, s1, vi), sweep_section(l, s2, vi)
-        if r1 is not None:
-            assert r1 is not r2
+        same_normal = support_normal(l, s3, vi)[0] == support_normal(l, s1, vi)[0]
+        assert (q3.lattice is q1.lattice) == same_normal
+        r1, r2, r3 = (sweep_section(l, s, vi) for s in (s1, s2, s3))
+        assert r1 is r2
+        if r1 is not None and r3 is not None:
+            assert r1 is not r3
+            other += 1
+    assert other
 
 
 def test_sub_polytope_face_map_order_preserving():
@@ -502,9 +520,10 @@ def test_closed_form_cut_matches_elimination(case, p):
     assert cols == pivot_columns(diffs)
     p = tuple(p[:d])
     q = sweep_mod._restrict(p, normal, cols, k)
+    sign = 1 if normal[k] > 0 else -1
     for y in points:
-        restricted = ps.dot(q, tuple(y[i] for i in cols)) + p[k] / normal[k] * b
-        assert restricted == ps.dot(p, y)
+        restricted = ps.dot(q, tuple(y[i] for i in cols)) + sign * p[k] * b
+        assert restricted == abs(normal[k]) * ps.dot(p, y)
 
 
 def check_integer_geometry(l, s, seen):
@@ -541,6 +560,58 @@ def test_figures_are_integral_and_inherit_their_facets(spec):
     assert seen and min(seen) == 1
 
 
+def check_integer_directions(l, s) -> int:
+    """The number of figures and sections below (l, s), recursively,
+    each checked to carry ints only in its functional and heights."""
+    n = 0
+    for vi in range(l.n_vertices):
+        for sub in filter(None, [vertex_figure(l, s, vi), sweep_section(l, s, vi)]):
+            assert all(type(x) is int for x in sub.direction.p + sub.direction.heights)
+            n += 1
+            if sub.lattice.dim >= 1:
+                n += check_integer_directions(sub.lattice, sub.direction)
+    return n
+
+
+@pytest.mark.parametrize("spec", [spec for spec, d in CORPUS_SPECS.items() if d])
+def test_figures_and_sections_hold_no_fractions(spec):
+    # the corpus directions have fractional entries; below them, and
+    # below the ladder, every functional and height is an int
+    l = ps.hull_lattice(parse_input(spec))
+    for p in (None, parse_direction(CORPUS_DIRECTIONS[l.dim])):
+        assert check_integer_directions(l, ps.choose_direction(p, l.coords))
+
+
+def test_the_reverse_sweep_in_verify_slices_no_top_level_cut(monkeypatch):
+    """verify's reverse cd sweep reuses the cuts of the forward and the
+    symmetric sweeps: every figure and section of the input lattice it
+    reads was sliced before."""
+    l = ps.hull_lattice(parse_input("pyramid:cube:3"))
+    directions, sliced = [], []
+    real_sweep, real_slice = sweep_mod.cd_sweep, sweep_mod._slice
+
+    def cd_sweep(lat_, s, deep=False):
+        directions.append(s)
+        return real_sweep(lat_, s, deep)
+
+    def counted(lat_, *args):
+        if lat_ is l:
+            sliced.append(len(directions))
+        return real_slice(lat_, *args)
+
+    monkeypatch.setattr(sweep_mod, "cd_sweep", cd_sweep)
+    monkeypatch.setattr(sweep_mod, "_slice", counted)
+    checks = run_verification(l, None, 4, False)
+    assert all(passed for _, passed in checks)
+    forward, reverse = directions
+    assert reverse.p == tuple(-x for x in forward.p)
+    # every top-level cut is made before the reverse sweep starts (1);
+    # from then on (2) the reverse sweep, its symmetric sweep, the toric
+    # sweep and the partition only reuse them
+    assert sliced.count(1) > 0
+    assert sliced.count(2) == 0
+
+
 def test_cut_rejects_a_zero_normal_and_points_that_do_not_span():
     with pytest.raises(ValueError):
         sweep_mod._cut((F(0), F(0)))
@@ -555,8 +626,9 @@ def test_vertex_figure_checks_the_induced_heights(monkeypatch):
     real = sweep_mod._restrict
 
     def skewed(p, normal, cols, k):
+        # skew the figure's functional only, not the inherited facets
         q = real(p, normal, cols, k)
-        return (q[0] + 1,) + q[1:]
+        return (q[0] + 1,) + q[1:] if p == s.p else q
 
     monkeypatch.setattr(sweep_mod, "_restrict", skewed)
     with pytest.raises(CrossCheckError, match="induced heights at vertex 0"):
