@@ -8,7 +8,6 @@ routes and the test suite insists that they agree bit for bit.
 
 from .errors import (
     CrossCheckError,
-    DegenerateSpan,
     InputError,
     NonVertexPoint,
     NotCDExpressible,
@@ -18,7 +17,7 @@ from .errors import (
     NotSimple,
     PolysweepError,
 )
-from .exactnum import affine_rank, dot, exact, vec
+from .exactnum import affine_rank, dot, exact
 from .flagvec import (
     CDPolynomial,
     FlagVector,
@@ -27,7 +26,6 @@ from .flagvec import (
     cd_from_ab,
     cd_index,
     cd_words,
-    count_cd_words,
     flag_f,
     flag_h,
     reverse_words,
@@ -77,8 +75,6 @@ from .truncpartition import (
     Block,
     build_partition,
     enumerate_chains,
-    top_face,
-    bottom_face,
     verify_partition,
 )
 

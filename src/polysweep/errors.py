@@ -16,10 +16,6 @@ class InputError(PolysweepError):
     """The input violates a documented precondition."""
 
 
-class DegenerateSpan(InputError):
-    """Points do not span an affine subspace of the required dimension."""
-
-
 class NotFullDimensional(InputError):
     pass
 

@@ -72,10 +72,6 @@ def _numeral(text: str) -> Fraction:
     return Fraction(text)
 
 
-def vec(*entries) -> QVector:
-    return tuple(map(exact, entries))
-
-
 def dot(a: QVector, b: QVector):
     """a.b; an int when both vectors are integral."""
     if len(a) != len(b):

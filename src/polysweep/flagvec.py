@@ -28,10 +28,6 @@ class FlagVector:
     d: int
     values: tuple  # values[mask]
 
-    def __getitem__(self, S):
-        """The value at a subset given as an iterable of ranks."""
-        return self.values[sum(1 << i for i in set(S))]
-
 
 def flag_f(l: FaceLattice) -> FlagVector:
     """f_S = number of chains of faces whose dimensions are exactly S.
@@ -138,12 +134,6 @@ class CDPolynomial:
             out[w] = out.get(w, 0) + c
         return type(self)(out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return type(self)(out)
-
     def __mul__(self, other):
         if isinstance(other, CDPolynomial):
             out: dict = {}
@@ -159,9 +149,6 @@ class CDPolynomial:
 
     def __eq__(self, other):
         return type(self) is type(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) for c in self.terms.values())
@@ -201,16 +188,6 @@ def cd_words(degree: int) -> tuple:
     words = ["c" + w for w in cd_words(degree - 1)]
     words += ["d" + w for w in cd_words(degree - 2)]
     return tuple(sorted(words))
-
-
-def count_cd_words(d: int) -> int:
-    """Fibonacci count F_d with F_0 = F_1 = 1."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    a, b = 1, 1
-    for _ in range(d):
-        a, b = b, a + b
-    return a
 
 
 @lru_cache(maxsize=None)

@@ -118,19 +118,12 @@ class FaceLattice:
         self.facets = facets
         self._memo: dict = {}
 
-    def __len__(self):
-        return len(self.masks)
-
     def f_vector(self) -> tuple:
         """(f_-1, f_0, ..., f_d)."""
         return tuple(len(self.by_dim.get(k, ())) for k in range(-1, self.dim + 1))
 
     def vertices_of(self, i: int) -> list[int]:
         return list(bits(self.masks[i]))
-
-    def contains(self, i: int, j: int) -> bool:
-        """Face i <= face j."""
-        return self.masks[i] & self.masks[j] == self.masks[i]
 
     def faces_at_vertex(self, vi: int, k: int) -> list[int]:
         return list(bits(self.up[self.index[1 << vi]] & self.level.get(k, 0)))
@@ -146,24 +139,6 @@ class FaceLattice:
             len(self.faces_at_vertex(vi, 1)) == self.dim
             for vi in range(self.n_vertices)
         )
-
-    def validate(self):
-        """Structural checks: grading, intersection closure, singletons.
-        Raises ValueError on the first that fails."""
-        if len(self.by_dim[-1]) != 1 or len(self.by_dim[self.dim]) != 1:
-            raise ValueError("the lattice needs one empty face and one top face")
-        if any(self.masks[i].bit_count() != 1 for i in self.by_dim.get(0, ())):
-            raise ValueError("a face of dimension 0 is not a single vertex")
-        mask_set = set(self.masks)
-        if any(a & b not in mask_set for a in self.masks for b in self.masks):
-            raise ValueError("the faces are not closed under intersection")
-        # every cover relation, an interval of two faces, steps dimension by one
-        for i, u in enumerate(self.up):
-            for j in bits(u & ~(1 << i)):
-                covers = (u & self.down[j]).bit_count() == 2
-                if covers and self.dims[j] != self.dims[i] + 1:
-                    raise ValueError("the lattice is not graded")
-        return self
 
 
 def memoized(fn):
@@ -376,13 +351,6 @@ def is_eulerian(l: FaceLattice) -> bool:
 # Serialization.
 
 
-def vrep_to_json(v: VRep) -> dict:
-    return {
-        "dim": v.dim,
-        "vertices": [[str(x) for x in p] for p in v.vertices],
-    }
-
-
 def _json_coordinate(x):
     """An int or a rational string, read by ``exact`` as a numeral, so
     that its size is bounded.  A JSON float is refused: its binary value
@@ -395,7 +363,14 @@ def _json_coordinate(x):
     )
 
 
-def vrep_from_json(obj: dict) -> VRep:
+def vrep_from_json(obj) -> VRep:
+    if not (
+        isinstance(obj, dict)
+        and "dim" in obj
+        and isinstance(obj.get("vertices"), list)
+        and all(isinstance(p, list) for p in obj["vertices"])
+    ):
+        raise TypeError('expected a JSON object {"dim": d, "vertices": [[x_1, ..., x_d], ...]}')
     if type(obj["dim"]) is not int:
         raise TypeError(f'"dim" {obj["dim"]!r} is not a JSON integer')
     return VRep(

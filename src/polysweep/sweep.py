@@ -519,9 +519,8 @@ def cd_sweep_symmetric(
 
 
 def _check_simple(lat: FaceLattice):
-    for vi in range(lat.n_vertices):
-        if len(lat.faces_at_vertex(vi, 1)) != lat.dim:
-            raise NotSimple(f"vertex {vi} lies in {len(lat.faces_at_vertex(vi, 1))} edges")
+    if not lat.is_simple():
+        raise NotSimple(f"a vertex of the {lat.dim}-polytope lies on more than {lat.dim} edges")
 
 
 def simple_h_by_outdegree(lat: FaceLattice, s: SweepDirection) -> tuple:

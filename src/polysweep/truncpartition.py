@@ -103,14 +103,6 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     return (chain[0], edges[pick]) + rest
 
 
-def top_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:
-    return _top_bottom(l, s, chain, want_top=True)
-
-
-def bottom_face(l: FaceLattice, s: SweepDirection, chain: Chain) -> Chain:
-    return _top_bottom(l, s, chain, want_top=False)
-
-
 def _partition(lat: FaceLattice, s: SweepDirection) -> list:
     """Recursive construction; returns (word, owner, chains) triples."""
     if lat.dim == 0:
@@ -219,9 +211,6 @@ def build_partition(lat: FaceLattice, s: SweepDirection) -> list:
 class PartitionReport:
     ok: bool
     failures: list
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_partition(blocks, chains, lat: FaceLattice) -> PartitionReport:

@@ -1,10 +1,18 @@
-"""Shared helpers: cached lattices for the named corpus polytopes."""
+"""Shared helpers: cached lattices for the named corpus polytopes, and
+oracles that the package itself does not need."""
 
 import functools
 
 import polysweep as ps
 from fraction_rref import hyperplane_through
 from polysweep.cli import parse_input
+from polysweep.exactnum import exact
+from polysweep.polytope import bits
+
+
+def vec(*entries) -> tuple:
+    """A coordinate vector, each entry made exact."""
+    return tuple(map(exact, entries))
 
 
 @functools.lru_cache(maxsize=None)
@@ -31,3 +39,26 @@ def eliminated_facets(l: ps.FaceLattice) -> list:
             normal, offset = tuple(-x for x in normal), -offset
         out.append((normal, offset))
     return out
+
+
+def vrep_to_json(v: ps.VRep) -> dict:
+    """The JSON object that ``polysweep.polytope.vrep_from_json`` reads."""
+    return {"dim": v.dim, "vertices": [[str(x) for x in p] for p in v.vertices]}
+
+
+def validate(l: ps.FaceLattice):
+    """Structural oracle for a lattice: grading, intersection closure,
+    singletons.  Raises ValueError on the first check that fails."""
+    if len(l.by_dim[-1]) != 1 or len(l.by_dim[l.dim]) != 1:
+        raise ValueError("the lattice needs one empty face and one top face")
+    if any(l.masks[i].bit_count() != 1 for i in l.by_dim.get(0, ())):
+        raise ValueError("a face of dimension 0 is not a single vertex")
+    mask_set = set(l.masks)
+    if any(a & b not in mask_set for a in l.masks for b in l.masks):
+        raise ValueError("the faces are not closed under intersection")
+    # every cover relation, an interval of two faces, steps dimension by one
+    for i, u in enumerate(l.up):
+        for j in bits(u & ~(1 << i)):
+            covers = (u & l.down[j]).bit_count() == 2
+            if covers and l.dims[j] != l.dims[i] + 1:
+                raise ValueError("the lattice is not graded")

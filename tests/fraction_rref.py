@@ -10,7 +10,11 @@ ints or Fractions; the arithmetic is always over Fraction.
 from fractions import Fraction
 from math import gcd
 
-from polysweep.errors import DegenerateSpan
+from polysweep.errors import InputError
+
+
+class DegenerateSpan(InputError):
+    """Points do not span an affine subspace of the required dimension."""
 
 
 def row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -13,10 +13,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polysweep
+from conftest import vec, vrep_to_json
 from polysweep.cli import main, parse_input
 from polysweep.errors import InputError
 from polysweep.exactnum import MAX_NUMERAL_DIGITS
-from polysweep.polytope import vrep_to_json
 
 
 def run(capsys, *argv):
@@ -163,7 +163,6 @@ def test_float_coordinate_exit_2(tmp_path, capsys):
 
 def test_non_vertex_point_exit_2(tmp_path, capsys):
     from polysweep.polytope import VRep
-    from polysweep.exactnum import vec
 
     bad = VRep(2, (vec(0, 0), vec(2, 0), vec(0, 2), vec(2, 2), vec(1, 1)))
     path = tmp_path / "bad.json"
@@ -431,3 +430,21 @@ def test_malformed_input_exit_0_or_2(command, source, direction):
     event(f"exit {code}")  # the spread shows under --hypothesis-show-statistics
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 2, "vertices": ["00", "10", "01"]}',  # strings are iterable
+        '{"dim": 2, "vertices": {"00": 0, "10": 1, "01": 2}}',  # so are objects
+        '{"dim": 1, "vertices": "02"}',
+        '[{"dim": 1, "vertices": [[0], [2]]}]',
+    ],
+)
+def test_json_of_the_wrong_shape_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["describe", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read polytope file")
+    assert '{"dim": d, "vertices": [[x_1, ..., x_d], ...]}' in err

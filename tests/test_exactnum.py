@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_rref import canonical_integer_vector, hyperplane_through, null_space
+from conftest import vec
+from fraction_rref import (
+    DegenerateSpan,
+    canonical_integer_vector,
+    hyperplane_through,
+    null_space,
+)
 from fraction_rref import matrix_rank as fraction_rank
-from polysweep.errors import DegenerateSpan, InputError
+from polysweep.errors import InputError
 from polysweep.exactnum import (
     MAX_NUMERAL_DIGITS,
     affine_rank,
@@ -15,7 +21,6 @@ from polysweep.exactnum import (
     matrix_rank,
     primitive,
     primitive_kernel,
-    vec,
     vsub,
 )
 

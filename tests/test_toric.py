@@ -155,7 +155,7 @@ def toric_h_per_pair(l):
         k = l.dims[fi]
         coeffs = [0] * (k + 1)
         for gj in range(fi):
-            if not l.contains(gj, fi):
+            if l.masks[gj] & ~l.masks[fi]:
                 continue
             m = k - 1 - l.dims[gj]
             for i, x in enumerate(g_cache[gj]):

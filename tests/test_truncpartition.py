@@ -8,13 +8,21 @@ from polysweep.flagvec import CDPolynomial, cd_index, flag_f
 from polysweep.sweep import cd_sweep, choose_direction
 from polysweep.truncpartition import (
     Block,
-    bottom_face,
+    _top_bottom,
     build_partition,
     chain_sigma,
     enumerate_chains,
-    top_face,
     verify_partition,
 )
+
+
+# the chain with its missing minimal label added, highest or lowest
+def top_face(l, s, chain):
+    return _top_bottom(l, s, chain, want_top=True)
+
+
+def bottom_face(l, s, chain):
+    return _top_bottom(l, s, chain, want_top=False)
 
 
 def sweep_order(s):
@@ -67,7 +75,7 @@ def test_top_face_middle_slope_case():
     # oracle: compare the slope keys of the two edges of F at v directly,
     # as support_normal computes them, not the figure heights
     _, slope = ps.support_normal(pyr, s, vi)
-    edges = [e for e in pyr.faces_at_vertex(vi, 1) if pyr.contains(e, fi)]
+    edges = [e for e in pyr.faces_at_vertex(vi, 1) if pyr.masks[e] & ~pyr.masks[fi] == 0]
     assert tau[1] == max(edges, key=lambda e: slope[e])
     assert beta[1] == min(edges, key=lambda e: slope[e])
 
