@@ -28,7 +28,8 @@ import polysweep.polytope as polytope
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
 
 # the builtin specs of dimension <= 3 named in the tests and README,
-# plus two 4-polytopes
+# plus four 4-polytopes: two simple or simplicial, and two that are
+# neither
 SPECS = {
     "point": 0, "simplex:0": 0,
     "segment": 1, "cube:1": 1, "simplex:1": 1,
@@ -37,7 +38,7 @@ SPECS = {
     "simplex:3": 3, "cube:3": 3, "cross:3": 3,
     "pyramid:polygon:4": 3, "pyramid:polygon:5": 3,
     "prism:polygon:3": 3, "prism:polygon:5": 3, "prism:polygon:6": 3,
-    "cube:4": 4, "cross:4": 4,
+    "cube:4": 4, "cross:4": 4, "pyramid:cube:3": 4, "prism:cross:3": 4,
 }
 
 # one direction per dimension, generic for every spec above
@@ -53,6 +54,10 @@ COMMANDS = (
     ("verify",),
 )
 
+# verify --deep-sweep re-sweeps every section by its coordinates; it
+# runs on the specs of dimension <= 3
+DEEP = ("verify", "--deep-sweep")
+
 
 def invocations() -> list:
     out = []
@@ -61,6 +66,10 @@ def invocations() -> list:
             out.append((*cmd, "--input", spec))
             if dim:
                 out.append((*cmd, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
+        if dim <= 3:
+            out.append((*DEEP, "--input", spec))
+            if dim:
+                out.append((*DEEP, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
     return out
 
 
