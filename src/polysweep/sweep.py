@@ -10,39 +10,39 @@ vertex v the machinery builds
 * the section: the vertex figure sliced by the sweep hyperplane through
   v, whose faces are the faces that v neither tops nor bottoms.
 
-Both carry exact integer coordinates so the construction can recurse.
-The depth of the cut never matters: every comparison the recursion makes
-is decided by vertex heights and edge slopes.  Both cuts are in closed
-form: the points lie on a known hyperplane, so dropping one coordinate k
-projects them injectively.  A figure's points are translated to put v at
-the origin, and both are scaled by their common denominator m to
-integers.  One routine, ``_slice``, makes both: a figure is the polytope
-sliced across the edges at v, a section is the figure sliced across its
-edges that cross the sweep hyperplane through v.  The facets of a slice
-are cut from facets of the polytope above it, so their normals are
+A figure carries exact integer coordinates so that the recursion can
+sweep it, and so does a section where it is swept.  The depth of the
+cut never matters: every comparison the recursion makes is decided by
+vertex heights and edge slopes.  Both cuts are in closed form: the
+points lie on a known hyperplane, so dropping one coordinate k projects
+them injectively.  A figure's points are translated to put v at the
+origin, and both are scaled by their common denominator m to integers.
+One routine, ``_slice``, makes both: a figure is the polytope sliced
+across the edges at v, a section is the figure sliced across its edges
+that cross the sweep hyperplane through v.  The facets of a slice are
+cut from facets of the polytope above it, so their normals are
 inherited: the parent's outward normal restricted to the cut plane, made
-primitive.  No elimination runs for them; only ``hull_lattice``
-eliminates, and it keeps the hyperplane of each facet it finds.
+primitive.  Only ``hull_lattice`` eliminates.
 
 A figure's direction is integral.  With a the support normal at v and σ
 the sign of a_k, the sweep functional p restricted to the cut plane is a
 positive multiple of the integer functional σ(a_k p_i - p_k a_i) on the
 kept coordinates; less the constant σ m p_k, it gives sub-vertex j the
-height |a_k| m slope(e_j).  So v sits at height 0 in its figure, and
-"above v" is a positive height, at every level.
+height |a_k| m slope(e_j), so v sits at height 0 in its figure.
 
-A cut depends on its hyperplane only, not on the way the sweep runs.
-The support normal depends on the direction only through which edge
-slopes are distinct, so s and -s have the same one, and a figure's cut
-is kept per support normal; a section is kept per vertex and ±p.  The
-reverse sweep in ``verify`` therefore slices nothing the forward sweep
-and the symmetric sweep have not sliced.
+One rule, ``_up_down``, says which edges at v go up and which go down;
+every "above v", "upper", "lower" or "middle" reads it.  With it two
+lattices are read off the parent's order, without coordinates: the star
+[v, P] over the edges at v (the figure's lattice), and the section, {v}
+and the faces at v holding an up-edge and a down-edge, over the 2-faces
+among them.  The symmetric sweep reads only these, and every sweep takes
+its section values from the latter; a section is cut with coordinates
+only where it is swept, by the deep sweep and the partition.
 
-The recursion sweeps every vertex of the polytope it is given, because
-each per-vertex part is reported.  Inside a vertex figure only the
-parts of sub-vertices above v are read, so only those are swept; with
-deep=True every sub-vertex is swept, so that every section on the way
-is re-swept and checked.
+A figure's cut is kept per support normal, which depends on the
+direction only through which edge slopes are distinct, so s and -s
+share it: the reverse sweep in ``verify`` cuts only the figure at the
+forward sweep's last vertex, which no forward route reads.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class SubPolytope:
     A figure's direction is induced and integral: sub-vertex j has
     height λ slope(e_j) for the j-th edge e_j at v, with one λ > 0 per
     figure (|a_k| m, times the lcm of the denominators of p), so v sits
-    at 0 and the figure's heights are the one record of the order at v.
-    A section's is the ladder's.  The lattice of a figure is shared by
+    at 0.  A section's is the ladder's.  A figure's lattice is shared by
     the directions with the same support normal, s and -s among them."""
 
     lattice: FaceLattice
@@ -123,8 +122,6 @@ def choose_direction(p0, v: VRep) -> SweepDirection:
         if len(set(heights)) != len(heights):
             raise NotGeneric("supplied direction gives equal heights")
         return SweepDirection(p0, heights)
-    if v.dim == 0:
-        return SweepDirection((), (0,))
     for t in range(2, 10000):
         p = tuple(t**i for i in range(v.dim))
         heights = tuple(exact(dot(p, x)) for x in v.vertices)
@@ -219,35 +216,43 @@ def _project(points: list, cols: list, dim: int) -> tuple[VRep, int]:
     return VRep(dim, proj), m
 
 
-def _slice(lat: FaceLattice, edges, faces, points, plane):
-    """(sub-lattice, face map, scale) of the slice of lat by a hyperplane
-    with normal ``plane`` that crosses edge ``edges[j]`` at
-    ``points[j]`` and meets the faces in ``faces``; the one face listed
-    that holds no cut edge becomes the empty face.
-
-    Sub-vertex j is the cut of edges[j]; a met face becomes the set of
-    its cut edges, one dimension lower.  The points are projected and
-    scaled to integers.  A facet of the slice is cut from a facet of lat,
-    and its outward normal is that facet's restricted to the plane, made
-    primitive: restriction changes a functional on the plane only by a
-    constant and a positive factor, and the projection and scaling are
-    positive.  The slice is the same for plane and -plane.
-    """
-    dim = lat.dim - 1
-    cols, k = _cut(plane)
-    coords, scale = _project(points, cols, dim)
-    ys = coords.vertices
+def _lattice_over(lat: FaceLattice, atoms, faces, shift: int, coords=None, facet=None):
+    """(sub-lattice, face map) of the faces ``faces`` of lat over the faces
+    ``atoms``: face i becomes the mask of the atoms below it, ``shift``
+    dimensions lower; the one with no atom below becomes the empty face.
+    ``facet(i, mask)``, if given, is the hyperplane cut from facet i."""
     sub_faces, parents = [], {}
-    facets = {} if dim >= 1 else None
+    facets = {} if facet is not None else None
     for i in faces:
-        mask = sum(1 << j for j, e in enumerate(edges) if lat.down[i] >> e & 1)
-        sub_faces.append((mask, lat.dims[i] - 1 if mask else -1))
+        mask = sum(1 << j for j, e in enumerate(atoms) if lat.down[i] >> e & 1)
+        sub_faces.append((mask, lat.dims[i] - shift if mask else -1))
         parents[mask] = i
         if facets is not None and lat.dims[i] == lat.dim - 1:
-            normal = primitive(_restrict(lat.facets[lat.masks[i]][0], plane, cols, k))
-            facets[mask] = (normal, dot(normal, ys[next(bits(mask))]))
-    sub = FaceLattice(dim, sub_faces, coords=coords, facets=facets)
-    return sub, tuple(parents[m] for m in sub.masks), scale
+            facets[mask] = facet(i, mask)
+    sub = FaceLattice(lat.dim - shift, sub_faces, coords=coords, facets=facets)
+    return sub, tuple(parents[m] for m in sub.masks)
+
+
+def _slice(lat: FaceLattice, edges, faces, points, plane):
+    """(sub-lattice, face map, scale) of the slice of lat by a hyperplane
+    with normal ``plane`` that crosses edge ``edges[j]`` at ``points[j]``
+    and meets the faces in ``faces`` (see ``_lattice_over``).
+
+    The points are projected and scaled to integers.  A facet of the
+    slice is cut from a facet of lat, and its outward normal is that
+    facet's restricted to the plane, made primitive: restriction changes
+    a functional on the plane only by a constant and a positive factor,
+    and the projection and scaling are positive.  The slice is the same
+    for plane and -plane.
+    """
+    cols, k = _cut(plane)
+    coords, scale = _project(points, cols, lat.dim - 1)
+
+    def facet(i, mask):
+        normal = primitive(_restrict(lat.facets[lat.masks[i]][0], plane, cols, k))
+        return normal, dot(normal, coords.vertices[next(bits(mask))])
+
+    return (*_lattice_over(lat, edges, faces, 1, coords, facet if lat.dim > 1 else None), scale)
 
 
 @memoized
@@ -302,6 +307,24 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     return SubPolytope(sub, SweepDirection(f, heights), face_parent, lat.index[1 << vi])
 
 
+@memoized
+def _up_down(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple:
+    """(up, down, above): the face-index masks of the edges at vi whose
+    other end is higher, lower, and the positions j of the up-edges among
+    the edges at vi, the vertex figure's sub-vertices above v.  A face at
+    v rises from v when its edges at v all go up, falls to v when they
+    all go down, and crosses the sweep hyperplane through v otherwise."""
+    up = down = 0
+    above = []
+    for j, e in enumerate(lat.faces_at_vertex(vi, 1)):
+        if s.heights[_other_endpoint(lat, e, vi)] > s.heights[vi]:
+            up |= 1 << e
+            above.append(j)
+        else:
+            down |= 1 << e
+    return up, down, tuple(above)
+
+
 def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
     """upper if v bottoms the face, lower if v tops it, middle otherwise.
 
@@ -310,53 +333,55 @@ def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
     """
     if not (lat.masks[fi] >> vi & 1 and lat.dims[fi] >= 1):
         raise ValueError(f"face {fi} is not a face of dimension >= 1 at vertex {vi}")
-    hs = [s.heights[w] for w in lat.vertices_of(fi)]
-    hv = s.heights[vi]
-    if hv == min(hs):
+    up, down, _ = _up_down(lat, s, vi)
+    if not lat.down[fi] & down:
         return UPPER
-    if hv == max(hs):
+    if not lat.down[fi] & up:
         return LOWER
     return MIDDLE
 
 
-def is_extreme(lat: FaceLattice, s: SweepDirection, vi: int) -> bool:
-    hv = s.heights[vi]
-    return hv == min(s.heights) or hv == max(s.heights)
+@memoized
+def _star(lat: FaceLattice, vi: int) -> tuple:
+    """(lattice, face map) of [v, P] over the edges at v, as in the figure."""
+    return _lattice_over(lat, lat.faces_at_vertex(vi, 1), bits(lat.up[lat.index[1 << vi]]), 1)
 
 
+@memoized
+def _section_lattice(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple | None:
+    """(lattice, face map) of the section at vi: {v} and the faces at v
+    holding an up- and a down-edge at v, over the 2-faces among them, two
+    dimensions lower.  None as for ``sweep_section``."""
+    up, down, _ = _up_down(lat, s, vi)
+    if lat.dim < 2 or not (up and down):
+        return None
+    v = lat.index[1 << vi]
+    faces = [v] + [i for i in bits(lat.up[v]) if lat.down[i] & up and lat.down[i] & down]
+    return _lattice_over(lat, [i for i in faces if lat.dims[i] == 2], faces, 2)
+
+
+@memoized
 def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
-    """The vertex figure cut by the sweep hyperplane through v; None
-    below dimension 2 and when v is the global minimum or maximum.
+    """The vertex figure Q cut by the sweep hyperplane through v; None
+    below dimension 2 and when v is the lowest or highest vertex.  Only
+    the deep sweep and the partition, which sweep sections, cut them.
 
-    Kept per vertex and ±s.p: s and -s cut the same hyperplane through
-    the same figure lattice, so they share the section object.
+    The cut meets the faces of Q with sub-vertices on both sides of v,
+    which sits at height 0 in Q; these are the middle faces at v.
+    Sub-vertex k is where the k-th edge of Q crossing height 0 does so,
+    at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1 to y2, edges in
+    the mask order of their parent 2-faces.  Faces are the middle faces
+    at v, dimension dropped by two.  The section's direction is the
+    ladder direction on its own coordinates, since the sweep is constant
+    on it.
     """
-    p = s.p
-    if next((x for x in p if x), 0) < 0:
-        p = tuple(-x for x in p)
-    key = ("sweep_section", vi, p)
-    memo = lat._memo
-    if key not in memo:
-        memo[key] = _section(lat, s, vi)
-    return memo[key]
-
-
-def _section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
-    """The cut meets the faces of the figure Q with sub-vertices on both
-    sides of v, which sits at height 0 in Q; these are the middle faces
-    at v.  Sub-vertex k is where the k-th edge of Q crossing height 0
-    does so, at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1 to y2,
-    edges in the mask order of their parent 2-faces; neither depends on
-    the sign of the heights.  Faces are the middle faces at v, dimension
-    dropped by two.  The section's direction is the ladder direction on
-    its own coordinates, since the sweep is constant on it.
-    """
-    if lat.dim < 2 or is_extreme(lat, s, vi):
+    up, down, ups = _up_down(lat, s, vi)
+    if lat.dim < 2 or not (up and down):
         return None
     qv = vertex_figure(lat, s, vi)
     q, qheights = qv.lattice, qv.direction.heights
 
-    above = sum(1 << j for j, h in enumerate(qheights) if h > 0)
+    above = sum(1 << j for j in ups)
     met = [i for i, m in enumerate(q.masks) if m & above and m & ~above]
     crossing = sorted((i for i in met if q.dims[i] == 1), key=qv.face_parent.__getitem__)
     points = []
@@ -410,9 +435,9 @@ def sweep_recursive(
     The contribution at v is d times the section's value plus c times
     the recursive per-vertex parts of the vertex figure, summed over its
     sub-vertices above height(v); the last vertex swept contributes
-    zero.  The section's value is computed directly; with deep=True it
-    is recomputed by a recursive sweep under a fresh direction and the
-    two must agree.
+    zero.  The section's value is computed directly on the lattice
+    ``_section_lattice``; with deep=True the cut section is also swept
+    under its own direction, and the two must agree.
     """
     if lat.dim == 0:
         return {0: alg.one}, alg.one
@@ -424,29 +449,29 @@ def _sweep_parts(
     alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
 ) -> dict:
     """The per-vertex parts of the vertices in wanted only.  A figure's
-    parts are read at its sub-vertices above v, those of positive
-    height, so only those are swept; with deep=True all are, to check
+    parts are read at its sub-vertices above v, those on the edges at v
+    going up, so only those are swept; with deep=True all are, to check
     every section."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}
     per = {}
-    top = max(range(lat.n_vertices), key=lambda i: s.heights[i])
     for vi in wanted:
         term = alg.zero(d)
-        if vi == top:
+        up = _up_down(lat, s, vi)[2]
+        if not up:  # the last vertex swept
             per[vi] = term
             continue
         qv = vertex_figure(lat, s, vi)
-        up = [j for j, h in enumerate(qv.direction.heights) if h > 0]
         swept = range(qv.lattice.n_vertices) if deep else up
         sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
         for j in up:
             term = alg.add(term, alg.c(sub_per[j]))
-        rv = sweep_section(lat, s, vi)
-        if rv is not None:
-            val_r = alg.value(rv.lattice)
+        r = _section_lattice(lat, s, vi)
+        if r is not None:
+            val_r = alg.value(r[0])
             if deep:
+                rv = sweep_section(lat, s, vi)
                 _, swept = sweep_recursive(alg, rv.lattice, rv.direction, True)
                 if swept != val_r:
                     raise CrossCheckError(
@@ -463,18 +488,18 @@ def sweep_symmetric(
 ) -> tuple[dict, object]:
     """Direction-averaged form: with Q the vertex figure and R the
     section, each vertex contributes (c V(Q) + (2d - c^2) V(R)) / 2,
-    both values computed directly.  Per-vertex parts may be
-    half-integral; the total must be integral."""
+    both values computed directly on lattices read off lat's order, so
+    no coordinate is read.  Per-vertex parts may be half-integral; the
+    total must be integral."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}, alg.one
     per = {}
     for vi in range(lat.n_vertices):
-        qv = vertex_figure(lat, s, vi)
-        term = alg.c(alg.value(qv.lattice))
-        rv = sweep_section(lat, s, vi)
-        if rv is not None:
-            val_r = alg.value(rv.lattice)
+        term = alg.c(alg.value(_star(lat, vi)[0]))
+        r = _section_lattice(lat, s, vi)
+        if r is not None:
+            val_r = alg.value(r[0])
             term = alg.add(term, alg.scale(2, alg.d(val_r)))
             term = alg.add(term, alg.scale(-1, alg.c(alg.c(val_r))))
         per[vi] = alg.scale(Fraction(1, 2), term)
@@ -528,12 +553,7 @@ def simple_h_by_outdegree(lat: FaceLattice, s: SweepDirection) -> tuple:
     _check_simple(lat)
     h = [0] * (lat.dim + 1)
     for vi in range(lat.n_vertices):
-        out = sum(
-            1
-            for e in lat.faces_at_vertex(vi, 1)
-            if s.heights[_other_endpoint(lat, e, vi)] > s.heights[vi]
-        )
-        h[out] += 1
+        h[_up_down(lat, s, vi)[0].bit_count()] += 1
     return tuple(h)
 
 

@@ -15,7 +15,7 @@ from test_cli_corpus import DIRECTIONS as CORPUS_DIRECTIONS
 from test_cli_corpus import SPECS as CORPUS_SPECS
 from polysweep.exactnum import matrix_rank, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
-from polysweep.polytope import facet_hyperplanes
+from polysweep.polytope import facet_hyperplanes, polar_lattice
 from polysweep.verify import run_verification
 from polysweep.sweep import (
     MIDDLE,
@@ -358,7 +358,9 @@ def test_deep_sweep_cross_validates():
 
 def test_routes_get_the_same_figures_and_sections(monkeypatch):
     """The cd sweep, the toric sweep and the partition on one lattice and
-    direction all get the vertex figure and section the first built."""
+    direction all get the vertex figure the first built.  The sweeps cut
+    no section: they read section values off the lattice.  The partition
+    cuts each section once."""
     l = ps.hull_lattice(parse_input("pyramid:polygon:4"))
     s = ps.choose_direction(None, l.coords)
     got: dict = {}
@@ -378,22 +380,24 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
         monkeypatch.setattr(mod, "sweep_section", section)
     ps.cd_sweep(l, s)
     ps.toric_sweep(l, s)
+    assert not any(kind == "section" for kind, _ in got)
     ps.build_partition(l, s)
 
     for objs in got.values():
         assert all(o is objs[0] for o in objs)
-    middle = [vi for vi in range(l.n_vertices) if not sweep_mod.is_extreme(l, s, vi)]
+    middle = [vi for vi in range(l.n_vertices) if all(sweep_mod._up_down(l, s, vi)[:2])]
     assert middle
     for vi in middle:
-        assert len(got[("figure", vi)]) >= 3 and len(got[("section", vi)]) >= 3
+        assert len(got[("figure", vi)]) >= 3 and len(got[("section", vi)]) == 1
 
 
 def test_figure_memo_keys_on_the_direction():
     """s and -s cut the same hyperplanes: their figures share the lattice
-    and differ in the sign of the heights, and they share the section
-    object.  A direction not proportional to s gets its own figures and
-    sections; a figure lattice is shared exactly when the support normals
-    agree."""
+    and differ in the sign of the heights.  A cut section is kept per
+    direction, so s and -s cut equal sections, each equal to the one
+    read off the lattice.  A direction not proportional to s gets its
+    own figures and sections; a figure lattice is shared exactly when
+    the support normals agree."""
     l = ps.hull_lattice(parse_input("cross:3"))
     s1 = ps.choose_direction(None, l.coords)
     s2 = ps.choose_direction(tuple(-x for x in s1.p), l.coords)
@@ -409,7 +413,13 @@ def test_figure_memo_keys_on_the_direction():
         same_normal = support_normal(l, s3, vi)[0] == support_normal(l, s1, vi)[0]
         assert (q3.lattice is q1.lattice) == same_normal
         r1, r2, r3 = (sweep_section(l, s, vi) for s in (s1, s2, s3))
-        assert r1 is r2
+        assert (r1 is None) == (r2 is None)
+        if r1 is not None:
+            assert r1 is not r2 and r1 is sweep_section(l, s1, vi)
+            read = sweep_mod._section_lattice(l, s2, vi)
+            for r in (r1, r2):
+                assert (r.lattice.masks, r.lattice.dims, r.face_parent) == (
+                    read[0].masks, read[0].dims, read[1])
         if r1 is not None and r3 is not None:
             assert r1 is not r3
             other += 1
@@ -582,10 +592,13 @@ def test_figures_and_sections_hold_no_fractions(spec):
         assert check_integer_directions(l, ps.choose_direction(p, l.coords))
 
 
-def test_the_reverse_sweep_in_verify_slices_no_top_level_cut(monkeypatch):
-    """verify's reverse cd sweep reuses the cuts of the forward and the
-    symmetric sweeps: every figure and section of the input lattice it
-    reads was sliced before."""
+def test_the_reverse_sweep_in_verify_cuts_only_the_figure_no_forward_route_reads(
+    monkeypatch,
+):
+    """verify's reverse cd sweep reuses the figure cuts of the forward
+    sweep: of the input lattice it cuts only the figure at the forward
+    sweep's last vertex, which the forward routes never read, and the
+    symmetric sweeps cut nothing."""
     l = ps.hull_lattice(parse_input("pyramid:cube:3"))
     directions, sliced = [], []
     real_sweep, real_slice = sweep_mod.cd_sweep, sweep_mod._slice
@@ -594,10 +607,10 @@ def test_the_reverse_sweep_in_verify_slices_no_top_level_cut(monkeypatch):
         directions.append(s)
         return real_sweep(lat_, s, deep)
 
-    def counted(lat_, *args):
+    def counted(lat_, edges, faces, *args):
         if lat_ is l:
-            sliced.append(len(directions))
-        return real_slice(lat_, *args)
+            sliced.append((len(directions), faces[0]))
+        return real_slice(lat_, edges, faces, *args)
 
     monkeypatch.setattr(sweep_mod, "cd_sweep", cd_sweep)
     monkeypatch.setattr(sweep_mod, "_slice", counted)
@@ -605,11 +618,95 @@ def test_the_reverse_sweep_in_verify_slices_no_top_level_cut(monkeypatch):
     assert all(passed for _, passed in checks)
     forward, reverse = directions
     assert reverse.p == tuple(-x for x in forward.p)
-    # every top-level cut is made before the reverse sweep starts (1);
-    # from then on (2) the reverse sweep, its symmetric sweep, the toric
-    # sweep and the partition only reuse them
-    assert sliced.count(1) > 0
-    assert sliced.count(2) == 0
+    # a figure cut's first face is {v}; the forward sweep (1) cuts one
+    # per vertex but its last, the reverse sweep (2) only that one
+    last = max(range(l.n_vertices), key=lambda i: forward.heights[i])
+    cuts = {n: [face for m, face in sliced if m == n] for n in (1, 2)}
+    assert sorted(cuts[1]) == sorted(l.index[1 << vi] for vi in range(l.n_vertices) if vi != last)
+    assert cuts[2] == [l.index[1 << last]]
+
+
+@pytest.mark.parametrize("spec", ["polygon:5", "cube:3", "pyramid:polygon:4", "cube:4",
+                                  "pyramid:cube:3", "prism:cross:3"])
+def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
+    """Without deep=True no sweep calls ``sweep_section``: every section
+    value is read off the lattice.  The symmetric sweeps call neither
+    ``vertex_figure`` nor ``support_normal`` either."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("sweep_section", "vertex_figure", "support_normal"):
+        monkeypatch.setattr(sweep_mod, name, spy(name, getattr(sweep_mod, name)))
+    # each sweep gets a lattice with an empty memo
+    l1, l2, l3 = (ps.hull_lattice(parse_input(spec)) for _ in range(3))
+    s = ps.choose_direction(None, l1.coords)
+    ps.cd_sweep_symmetric(l1, s)
+    ps.toric_sweep_symmetric(l2, s)
+    assert calls == []
+    ps.cd_sweep(l1, s)
+    ps.toric_sweep(l2, s)
+    assert "vertex_figure" in calls and "sweep_section" not in calls
+    ps.cd_sweep(l3, s, deep=True)
+    assert "sweep_section" in calls
+
+
+def star_and_section_match(l, s, depth) -> int:
+    """At every vertex of l, and recursively through every figure and
+    section ``depth`` levels down: the star read off the order equals the
+    cut figure's lattice, and the section read off the order the cut
+    section's, in masks, dimensions and the face map into l.  Returns
+    the number of sections compared."""
+    n = 0
+    for vi in range(l.n_vertices):
+        star, star_parent = sweep_mod._star(l, vi)
+        q = vertex_figure(l, s, vi)
+        assert (star.masks, star.dims, star_parent) == (
+            q.lattice.masks, q.lattice.dims, q.face_parent)
+        read, r = sweep_mod._section_lattice(l, s, vi), sweep_section(l, s, vi)
+        assert (read is None) == (r is None)
+        subs = [q]
+        if r is not None:
+            assert (read[0].masks, read[0].dims, read[1]) == (
+                r.lattice.masks, r.lattice.dims, r.face_parent)
+            subs.append(r)
+            n += 1
+        if depth > 1:
+            n += sum(star_and_section_match(sub.lattice, sub.direction, depth - 1)
+                     for sub in subs if sub.lattice.dim >= 1)
+    return n
+
+
+@pytest.mark.parametrize("spec", [spec for spec, d in CORPUS_SPECS.items() if d])
+def test_lattices_read_off_the_order_equal_the_cut_ones(spec):
+    l = ps.hull_lattice(parse_input(spec))
+    s = ps.choose_direction(None, l.coords)
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    counts = [star_and_section_match(l, d, 2) for d in (s, reverse)]
+    assert counts[0] == counts[1]
+    assert counts[0] or l.dim < 2
+
+
+@pytest.mark.parametrize("spec", ["segment", "polygon:5", "cube:3", "cross:3",
+                                  "pyramid:polygon:5", "cube:4", "pyramid:cube:3",
+                                  "prism:cross:3"])
+def test_symmetric_sweeps_read_no_coordinates(spec):
+    """The symmetric sweeps read only the order and the heights: a bare
+    copy of the lattice (no coordinates, no facets) gives the same parts,
+    and so does the dual under the polar's direction, against the polar
+    hulled from its coordinates."""
+    l = ps.hull_lattice(parse_input(spec))
+    s = ps.choose_direction(None, l.coords)
+    bare = ps.FaceLattice(l.dim, zip(l.masks, l.dims))
+    polar = polar_lattice(l)
+    sp = ps.choose_direction(None, polar.coords)
+    for sweep in (cd_sweep_symmetric, ps.toric_sweep_symmetric):
+        assert sweep(bare, s) == sweep(l, s)
+        assert sweep(ps.dual(l), sp) == sweep(polar, sp)
 
 
 def test_cut_rejects_a_zero_normal_and_points_that_do_not_span():
