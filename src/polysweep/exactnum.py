@@ -10,10 +10,11 @@ plain tuples.  Nothing here mutates its arguments; all values can be
 shared freely.
 
 The elimination is fraction-free: each row is scaled to integers by the
-lcm of its denominators, rows are combined with integer multipliers,
-and every combined row is divided by its content.  Ranks and kernel
-vectors therefore come out of integer arithmetic alone, and a kernel
-line is a primitive int tuple.
+lcm of its denominators (``integer_multiple``, the one such rule, which
+the hull and the vertex figures call too), rows are combined with
+integer multipliers, and every combined row is divided by its content.
+Ranks and kernel vectors therefore come out of integer arithmetic alone,
+and a kernel line is a primitive int tuple.
 """
 
 from __future__ import annotations
@@ -96,13 +97,19 @@ def vscale(c, a: QVector) -> QVector:
 # Fraction-free Gauss-Jordan elimination.
 
 
-def _integer_row(row) -> list[int]:
-    """The row times the lcm of its denominators, divided by its content;
-    a zero row stays zero."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
+def integer_multiple(v: QVector) -> tuple[tuple, int]:
+    """(m v, m), m the lcm of the denominators of v's entries, so m v is
+    an int tuple."""
+    m = lcm(*(x.denominator for x in v))
+    return tuple([x.numerator * (m // x.denominator) for x in v]), m
+
+
+def _integer_row(row) -> tuple:
+    """The row's integer multiple divided by its content; a zero row
+    stays zero."""
+    ints, _ = integer_multiple(row)
     g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return tuple([x // g for x in ints]) if g > 1 else ints
 
 
 def primitive(v: QVector) -> tuple:
@@ -111,7 +118,7 @@ def primitive(v: QVector) -> tuple:
     ints = _integer_row(v)
     if not any(ints):
         raise ValueError("the zero vector has no primitive multiple")
-    return tuple(ints)
+    return ints
 
 
 def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -24,11 +24,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import or_
 
 from .errors import CrossCheckError, NonVertexPoint, NotFullDimensional
-from .exactnum import QVector, dot, exact, matrix_rank, primitive_kernel
+from .exactnum import QVector, dot, exact, integer_multiple, matrix_rank, primitive_kernel
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ def hull_lattice(v: VRep) -> FaceLattice:
     # with any row has the sign of normal.p - offset
     rows = []
     for p in pts:
-        m = lcm(*(x.denominator for x in p))
-        rows.append((*(x.numerator * (m // x.denominator) for x in p), -m))
+        ints, m = integer_multiple(p)
+        rows.append((*ints, -m))
     rank = matrix_rank(rows) - 1
     if rank != d:
         raise NotFullDimensional(f"points span dimension {rank}, not {d}")

@@ -11,24 +11,28 @@ vertex v the machinery builds
   v, whose faces are the faces that v neither tops nor bottoms.
 
 A figure carries exact integer coordinates so that the recursion can
-sweep it, and so does a section where it is swept.  The depth of the
-cut never matters: every comparison the recursion makes is decided by
-vertex heights and edge slopes.  Both cuts are in closed form: the
-points lie on a known hyperplane, so dropping one coordinate k projects
-them injectively.  A figure's points are translated to put v at the
-origin, and both are scaled by their common denominator m to integers.
-One routine, ``_slice``, makes both: a figure is the polytope sliced
-across the edges at v, a section is the figure sliced across its edges
-that cross the sweep hyperplane through v.  The facets of a slice are
-cut from facets of the polytope above it, so their normals are
-inherited: the parent's outward normal restricted to the cut plane, made
-primitive.  Only ``hull_lattice`` eliminates.
+sweep it, and so does a section where it is swept; the depth and scale
+of a cut never matter, as the recursion compares only heights and
+slopes.  Both cuts are in closed form and in integers, so no Fraction
+is built below integer coordinates.  With a the support normal and
+gap_j = a.(v - w_j) > 0 for the j-th edge at v, from v to w_j, the
+figure's sub-vertex j is (w_j - v)(T / gap_j), T the lcm of the gaps.
+A section's point on an edge of the figure between heights h1 and h2 is
+scaled the same way, by the lcm of the h1 - h2.  One routine,
+``_slice``, makes both: a figure is the polytope sliced across the edges
+at v, a section is the figure sliced across its edges that cross the
+sweep hyperplane through v.  Dropping one coordinate k projects the cut
+plane injectively.  The facets of a slice are cut from facets of the
+polytope above it, so their normals are inherited: the parent's outward
+normal restricted to the cut plane, made primitive.  Only
+``hull_lattice`` eliminates.
 
-A figure's direction is integral.  With a the support normal at v and σ
-the sign of a_k, the sweep functional p restricted to the cut plane is a
-positive multiple of the integer functional σ(a_k p_i - p_k a_i) on the
-kept coordinates; less the constant σ m p_k, it gives sub-vertex j the
-height |a_k| m slope(e_j), so v sits at height 0 in its figure.
+A figure's heights are the one record of the edge order at v.  With σ
+the sign of a_k, p restricted to the cut plane is a positive multiple of
+the integer functional σ(a_k p_i - p_k a_i) on the kept coordinates;
+less σ T p_k, it gives sub-vertex j the height |a_k| T slope(e_j), with
+slope(e_j) = (height(w_j) - height(v)) / gap_j and v at 0.  The support
+normal is the first on a ladder that makes these distinct.
 
 One rule, ``_up_down``, says which edges at v go up and which go down;
 every "above v", "upper", "lower" or "middle" reads it.  With it two
@@ -39,10 +43,10 @@ among them.  The symmetric sweep reads only these, and every sweep takes
 its section values from the latter; a section is cut with coordinates
 only where it is swept, by the deep sweep and the partition.
 
-A figure's cut is kept per support normal, which depends on the
-direction only through which edge slopes are distinct, so s and -s
-share it: the reverse sweep in ``verify`` cuts only the figure at the
-forward sweep's last vertex, which no forward route reads.
+A figure's cut is kept per support normal, and a section's lattice per
+vertex and split of the edges at v.  s and -s negate every slope, so
+they share both: the reverse sweep in ``verify`` cuts only the figure at
+the forward sweep's last vertex, which no forward route reads.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ from functools import reduce
 from math import lcm
 
 from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
-from .exactnum import QVector, affine_rank, dot, exact, primitive, vsub
+from .exactnum import (
+    QVector, affine_rank, dot, exact, integer_multiple, primitive, vscale, vsub,
+)
 from .flagvec import CDPolynomial, cd_index
 from .polytope import (
     FaceLattice,
@@ -99,9 +105,10 @@ class SubPolytope:
 
     A figure's direction is induced and integral: sub-vertex j has
     height λ slope(e_j) for the j-th edge e_j at v, with one λ > 0 per
-    figure (|a_k| m, times the lcm of the denominators of p), so v sits
-    at 0.  A section's is the ladder's.  A figure's lattice is shared by
-    the directions with the same support normal, s and -s among them."""
+    figure, so v sits at 0.  A section's is the ladder's.  Coordinates
+    and heights are fixed up to one positive factor per sub-polytope.
+    A figure's lattice is shared by the directions with the same
+    support normal, s and -s among them."""
 
     lattice: FaceLattice
     direction: SweepDirection
@@ -135,51 +142,20 @@ def _other_endpoint(lat: FaceLattice, edge: int, vi: int) -> int:
     return w if u == vi else u
 
 
-def _slopes_for(lat, s, vi, a) -> dict:
-    """Edge slope keys at vi for support functional a.
-
-    slope(vw) = (h_w - h_v) / a.(x_v - x_w); the denominator is positive
-    because a is strictly supporting, so the sign matches the edge
-    orientation under the sweep.
-    """
+def support_normal(lat: FaceLattice, vi: int, t: int) -> tuple:
+    """The t-th functional of the ladder at vi: the outward facet normals
+    at vi summed with the weights (1, t, t^2, ...), checked to be
+    maximized over P at vi alone."""
+    facets = zip(lat.by_dim[lat.dim - 1], facet_hyperplanes(lat))
+    normals = [n for fi, (n, _) in facets if lat.masks[fi] >> vi & 1]
+    a = tuple(sum(t**j * n[k] for j, n in enumerate(normals)) for k in range(lat.dim))
     pts = lat.coords.vertices
-    out = {}
-    for e in lat.faces_at_vertex(vi, 1):
-        wi = _other_endpoint(lat, e, vi)
-        den = dot(a, vsub(pts[vi], pts[wi]))
-        if den <= 0:
-            raise CrossCheckError(
-                f"functional {a} does not strictly support vertex {vi}"
-            )
-        out[e] = exact(Fraction(s.heights[wi] - s.heights[vi], den))
-    return out
-
-
-def support_normal(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple:
-    """(a, slopes): a functional maximized uniquely over P at vi, the sum
-    of the outward facet normals at vi reweighted by (1, t, t^2, ...)
-    until the edge slope keys at vi (edge index -> slope) are pairwise
-    distinct."""
-    hyps = facet_hyperplanes(lat)
-    facets = lat.by_dim[lat.dim - 1]
-    normals = [
-        hyps[k][0] for k, fi in enumerate(facets) if lat.masks[fi] >> vi & 1
-    ]
-    pts = lat.coords.vertices
-    d = lat.dim
-    for t in range(1, 10000):
-        a = tuple(
-            sum(t**j * n[k] for j, n in enumerate(normals)) for k in range(d)
+    av = dot(a, pts[vi])
+    if any(dot(a, pts[w]) >= av for w in range(len(pts)) if w != vi):
+        raise CrossCheckError(
+            f"summed facet normal {a} does not strictly support vertex {vi}"
         )
-        av = dot(a, pts[vi])
-        if any(dot(a, pts[w]) >= av for w in range(len(pts)) if w != vi):
-            raise CrossCheckError(
-                f"summed facet normal {a} does not strictly support vertex {vi}"
-            )
-        slopes = _slopes_for(lat, s, vi, a)
-        if len(set(slopes.values())) == len(slopes):
-            return a, slopes
-    raise RuntimeError("support normal ladder exhausted")  # pragma: no cover
+    return a
 
 
 def _cut(normal: QVector) -> tuple[list[int], int]:
@@ -203,17 +179,13 @@ def _restrict(p: QVector, normal: QVector, cols: list, k: int) -> QVector:
     return tuple(nk * p[i] - pk * normal[i] for i in cols)
 
 
-def _project(points: list, cols: list, dim: int) -> tuple[VRep, int]:
-    """(the points restricted to the kept columns and scaled by m, m),
-    with m the lcm of their denominators, so the coordinates are ints.
-    The points must span dim."""
-    m = lcm(*(y[i].denominator for y in points for i in cols))
-    proj = tuple(
-        tuple(y[i].numerator * (m // y[i].denominator) for i in cols) for y in points
-    )
+def _project(points: list, cols: list, dim: int) -> VRep:
+    """The points, already scaled to integers by their cut, restricted to
+    the kept columns.  They must span dim."""
+    proj = tuple(tuple(y[i] for i in cols) for y in points)
     if affine_rank(proj) != dim:
         raise CrossCheckError(f"the cut points do not span dimension {dim}")
-    return VRep(dim, proj), m
+    return VRep(dim, proj)
 
 
 def _lattice_over(lat: FaceLattice, atoms, faces, shift: int, coords=None, facet=None):
@@ -234,43 +206,45 @@ def _lattice_over(lat: FaceLattice, atoms, faces, shift: int, coords=None, facet
 
 
 def _slice(lat: FaceLattice, edges, faces, points, plane):
-    """(sub-lattice, face map, scale) of the slice of lat by a hyperplane
-    with normal ``plane`` that crosses edge ``edges[j]`` at ``points[j]``
-    and meets the faces in ``faces`` (see ``_lattice_over``).
+    """(sub-lattice, face map) of the slice of lat by a hyperplane with
+    normal ``plane`` that crosses edge ``edges[j]`` at the int point
+    ``points[j]`` and meets the faces in ``faces`` (see ``_lattice_over``).
 
-    The points are projected and scaled to integers.  A facet of the
-    slice is cut from a facet of lat, and its outward normal is that
-    facet's restricted to the plane, made primitive: restriction changes
-    a functional on the plane only by a constant and a positive factor,
-    and the projection and scaling are positive.  The slice is the same
-    for plane and -plane.
+    The points are projected.  A facet of the slice is cut from a facet
+    of lat, and its outward normal is that facet's restricted to the
+    plane, made primitive: restriction changes a functional on the plane
+    only by a constant and a positive factor, and the projection is
+    positive.  The slice is the same for plane and -plane.
     """
     cols, k = _cut(plane)
-    coords, scale = _project(points, cols, lat.dim - 1)
+    coords = _project(points, cols, lat.dim - 1)
 
     def facet(i, mask):
         normal = primitive(_restrict(lat.facets[lat.masks[i]][0], plane, cols, k))
         return normal, dot(normal, coords.vertices[next(bits(mask))])
 
-    return (*_lattice_over(lat, edges, faces, 1, coords, facet if lat.dim > 1 else None), scale)
+    return _lattice_over(lat, edges, faces, 1, coords, facet if lat.dim > 1 else None)
 
 
 @memoized
 def _figure_cut(lat: FaceLattice, vi: int, a: tuple) -> tuple:
-    """(sub-lattice, face map, scale m) of the cut of the tangent cone at
-    vi by the plane a.x = a.v - 1, translated to put v at the origin;
-    kept per support normal a, so every direction with that normal
-    shares it."""
+    """(sub-lattice, face map, gaps, D) of the cut of the tangent cone at
+    vi by a; kept per support normal, so every direction with it shares
+    it.  The rays w_j - v along the edges at v are scaled by D, the lcm
+    of their denominators (1 on int coordinates); gap_j = D a.(v - w_j) > 0
+    as a supports v strictly, and sub-vertex j is D (w_j - v)(T / gap_j),
+    T the lcm of the gaps: the cut by a.x = a.v - 1, translated to put v
+    at the origin and scaled by T, on the plane a.y = -T."""
     pts = lat.coords.vertices
     v = pts[vi]
     edges = lat.faces_at_vertex(vi, 1)
-    # sub-vertex j is v + rays[j], on the cut plane a . y = a . v - 1
-    rays = []
-    for e in edges:
-        w = pts[_other_endpoint(lat, e, vi)]
-        t = dot(a, vsub(v, w))
-        rays.append(tuple(Fraction(x - y, t) for x, y in zip(w, v)))
-    return _slice(lat, edges, list(bits(lat.up[lat.index[1 << vi]])), rays, a)
+    ends = [pts[_other_endpoint(lat, e, vi)] for e in edges]
+    flat, scale = integer_multiple([x - y for w in ends for x, y in zip(w, v)])
+    rays = [flat[i : i + lat.dim] for i in range(0, len(flat), lat.dim)]
+    gaps = [-dot(a, ray) for ray in rays]
+    top = lcm(*gaps)
+    points = [vscale(top // gap, ray) for ray, gap in zip(rays, gaps)]
+    return (*_slice(lat, edges, list(bits(lat.up[lat.index[1 << vi]])), points, a), gaps, scale)
 
 
 @memoized
@@ -278,33 +252,35 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     """The vertex figure at vi, with integer coordinates, the induced
     integral sweep direction and the facet normals inherited from lat.
 
-    Sub-vertex j sits on the j-th edge at v (edges in mask order) where
-    it crosses the plane a.x = a.v - 1.  The coordinates are those points
-    minus v, projected and scaled by m to integers.  The figure's faces
-    are the faces containing v, with dimension dropped by one.  Its
-    functional is s.p, scaled by the lcm L of its denominators and
-    restricted to the cut plane; less the constant σ m p_k it gives
-    sub-vertex j the height L |a_k| m slope(e_j), which is checked
-    against the slopes.
+    The t-th support normal a cuts a figure (``_figure_cut``, sub-vertex
+    j on the j-th edge at v in mask order) for t = 1, 2, ... until its
+    heights are distinct.  Its faces are the faces containing v, with
+    dimension dropped by one.  Its functional is s.p, scaled by the lcm L
+    of its denominators and restricted to the cut plane a.y = -T; less
+    σ T p_k it gives sub-vertex j the height h_j = L |a_k| T slope(e_j),
+    checked in integers: h_j gap_j = L D |a_k| T (height(w_j) - height(v)).
     """
     if lat.dim < 1:
         raise ValueError("a vertex figure needs dimension at least 1")
-    a, slopes = support_normal(lat, s, vi)
-    sub, face_parent, m = _figure_cut(lat, vi, a)
-    cols, k = _cut(a)
-    scale = lcm(*(x.denominator for x in s.p))
-    p = s.p if scale == 1 else tuple(x.numerator * (scale // x.denominator) for x in s.p)
-    f = _restrict(p, a, cols, k)
-    base = m * p[k] if a[k] > 0 else -m * p[k]
-    heights = tuple(dot(f, y) - base for y in sub.coords.vertices)
-    factor = scale * abs(a[k]) * m
-    # slopes are keyed by the edges at vi in mask order, as the sub-vertices
-    for h, slope in zip(heights, slopes.values(), strict=True):
-        if h * slope.denominator != factor * slope.numerator:
+    p, scale = integer_multiple(s.p)
+    ends = (_other_endpoint(lat, e, vi) for e in lat.faces_at_vertex(vi, 1))
+    rises = [s.heights[w] - s.heights[vi] for w in ends]
+    for t in range(1, 10000):
+        a = support_normal(lat, vi, t)
+        sub, face_parent, gaps, d = _figure_cut(lat, vi, a)
+        cols, k = _cut(a)
+        top = lcm(*gaps)
+        f = _restrict(p, a, cols, k)
+        base = top * p[k] if a[k] > 0 else -top * p[k]
+        heights = tuple(dot(f, y) - base for y in sub.coords.vertices)
+        factor = scale * d * abs(a[k]) * top
+        if any(h * g != factor * r for h, g, r in zip(heights, gaps, rises, strict=True)):
             raise CrossCheckError(
                 f"induced heights at vertex {vi} are not the slopes in the cut coordinates"
             )
-    return SubPolytope(sub, SweepDirection(f, heights), face_parent, lat.index[1 << vi])
+        if len(set(heights)) == len(heights):
+            return SubPolytope(sub, SweepDirection(f, heights), face_parent, lat.index[1 << vi])
+    raise RuntimeError("support normal ladder exhausted")  # pragma: no cover
 
 
 @memoized
@@ -347,16 +323,21 @@ def _star(lat: FaceLattice, vi: int) -> tuple:
     return _lattice_over(lat, lat.faces_at_vertex(vi, 1), bits(lat.up[lat.index[1 << vi]]), 1)
 
 
-@memoized
 def _section_lattice(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple | None:
     """(lattice, face map) of the section at vi: {v} and the faces at v
     holding an up- and a down-edge at v, over the 2-faces among them, two
-    dimensions lower.  None as for ``sweep_section``."""
+    dimensions lower.  None as for ``sweep_section``.  Kept per split of
+    the edges at v, which s and -s share."""
     up, down, _ = _up_down(lat, s, vi)
     if lat.dim < 2 or not (up and down):
         return None
+    return _split_section(lat, vi, *sorted((up, down)))
+
+
+@memoized
+def _split_section(lat: FaceLattice, vi: int, one: int, other: int) -> tuple:
     v = lat.index[1 << vi]
-    faces = [v] + [i for i in bits(lat.up[v]) if lat.down[i] & up and lat.down[i] & down]
+    faces = [v] + [i for i in bits(lat.up[v]) if lat.down[i] & one and lat.down[i] & other]
     return _lattice_over(lat, [i for i in faces if lat.dims[i] == 2], faces, 2)
 
 
@@ -370,10 +351,10 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     which sits at height 0 in Q; these are the middle faces at v.
     Sub-vertex k is where the k-th edge of Q crossing height 0 does so,
     at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1 to y2, edges in
-    the mask order of their parent 2-faces.  Faces are the middle faces
-    at v, dimension dropped by two.  The section's direction is the
-    ladder direction on its own coordinates, since the sweep is constant
-    on it.
+    the mask order of their parent 2-faces, scaled by the lcm of the
+    h1 - h2.  Faces are the middle faces at v, dimension dropped by two.
+    The section's direction is the ladder direction on its own
+    coordinates, since the sweep is constant on it.
     """
     up, down, ups = _up_down(lat, s, vi)
     if lat.dim < 2 or not (up and down):
@@ -384,14 +365,16 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     above = sum(1 << j for j in ups)
     met = [i for i, m in enumerate(q.masks) if m & above and m & ~above]
     crossing = sorted((i for i in met if q.dims[i] == 1), key=qv.face_parent.__getitem__)
-    points = []
-    for e in crossing:
-        j1, j2 = q.edge_endpoints(e)
-        h1, h2 = qheights[j1], qheights[j2]
-        y1, y2 = q.coords.vertices[j1], q.coords.vertices[j2]
-        points.append(tuple(Fraction(h1 * x2 - h2 * x1, h1 - h2) for x1, x2 in zip(y1, y2)))
+    ys = q.coords.vertices
+    ends = [q.edge_endpoints(e) for e in crossing]
+    gaps = [qheights[j1] - qheights[j2] for j1, j2 in ends]
+    top = lcm(*gaps)
+    points = [
+        vscale(top // gap, vsub(vscale(qheights[j1], ys[j2]), vscale(qheights[j2], ys[j1])))
+        for (j1, j2), gap in zip(ends, gaps)
+    ]
     # Q's empty face, whose parent is {v}, becomes the section's
-    sub, in_figure, _ = _slice(q, crossing, [0] + met, points, qv.direction.p)
+    sub, in_figure = _slice(q, crossing, [0] + met, points, qv.direction.p)
     return SubPolytope(
         sub,
         choose_direction(None, sub.coords),

@@ -2,12 +2,15 @@
 oracles that the package itself does not need."""
 
 import functools
+import itertools
+from fractions import Fraction
 
 import polysweep as ps
 from fraction_rref import hyperplane_through
 from polysweep.cli import parse_input
-from polysweep.exactnum import exact
+from polysweep.exactnum import exact, vsub
 from polysweep.polytope import bits
+from polysweep.sweep import support_normal
 
 
 def vec(*entries) -> tuple:
@@ -24,6 +27,23 @@ def lat(spec: str) -> ps.FaceLattice:
 @functools.lru_cache(maxsize=None)
 def default_direction(spec: str) -> ps.SweepDirection:
     return ps.choose_direction(None, lat(spec).coords)
+
+
+def ladder_slopes(l: ps.FaceLattice, s: ps.SweepDirection, vi: int) -> tuple:
+    """Oracle for the edge order at vi, over Fraction: (a, slopes) for
+    the first functional a on the support normal ladder whose slopes are
+    distinct, slopes mapping each edge at vi, from vi to w, to
+    (height(w) - height(vi)) / a.(vi - w)."""
+    pts = l.coords.vertices
+    for t in itertools.count(1):
+        a = support_normal(l, vi, t)
+        slopes = {}
+        for e in l.faces_at_vertex(vi, 1):
+            (wi,) = set(l.vertices_of(e)) - {vi}
+            gap = ps.dot(a, vsub(pts[vi], pts[wi]))
+            slopes[e] = Fraction(s.heights[wi] - s.heights[vi]) / gap
+        if len(set(slopes.values())) == len(slopes):
+            return a, slopes
 
 
 def eliminated_facets(l: ps.FaceLattice) -> list:

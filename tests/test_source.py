@@ -34,6 +34,28 @@ def test_no_true_division():
     assert not found, f"true division (/ or /=) in the package: {found}"
 
 
+def fraction_calls(path) -> list:
+    """(enclosing top-level name, source) of every Fraction(...) call in
+    the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (getattr(top, "name", None), ast.unparse(node))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_no_fraction_in_the_cuts():
+    # figures and sections are cut in integers, so a rational input's
+    # Fractions stay at its own level; the one Fraction the sweeps build
+    # is the 1/2 of the direction-averaged sweep
+    found = [(name, *call) for name in ("sweep.py", "truncpartition.py")
+             for call in fraction_calls(SRC / name)]
+    assert found == [("sweep.py", "sweep_symmetric", "Fraction(1, 2)")]
+
+
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import polysweep as ps
 import polysweep.sweep as sweep_mod
 import polysweep.truncpartition as partition_mod
-from conftest import default_direction, eliminated_facets, lat
+from conftest import default_direction, eliminated_facets, ladder_slopes, lat
 from polysweep.cli import parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
@@ -20,7 +20,6 @@ from polysweep.verify import run_verification
 from polysweep.sweep import (
     MIDDLE,
     UPPER,
-    _slopes_for,
     cd_sweep,
     cd_sweep_symmetric,
     choose_direction,
@@ -126,32 +125,46 @@ def test_min_vertex_partition_cube():
 
 def test_support_normal_cube_corner():
     l = lat("cube:3")
-    a, _ = support_normal(l, default_direction("cube:3"), 0)
+    a = support_normal(l, 0, 1)
     assert a == (-1, -1, -1)
 
 
 def test_support_normal_octahedron():
     l = lat("cross:3")
-    s = default_direction("cross:3")
-    a, _ = support_normal(l, s, 0)  # vertex e_1
+    a = support_normal(l, 0, 1)  # vertex e_1
     assert a == (4, 0, 0)  # sum of the four incident facet normals
 
 
 def test_support_normal_strict_on_polygon():
     l = lat("polygon:5")
-    s = default_direction("polygon:5")
     pts = l.coords.vertices
     for vi in range(5):
-        a, _ = support_normal(l, s, vi)
-        av = ps.dot(a, pts[vi])
-        assert all(ps.dot(a, pts[w]) < av for w in range(5) if w != vi)
+        for t in (1, 2, 3):
+            a = support_normal(l, vi, t)
+            av = ps.dot(a, pts[vi])
+            assert all(ps.dot(a, pts[w]) < av for w in range(5) if w != vi)
 
 
-def test_slopes_reject_non_supporting_functional():
-    l, s = lat("cube:3"), default_direction("cube:3")
-    # vertex 0 is the origin; (1, 1, 1) is maximized at the far corner
-    with pytest.raises(CrossCheckError):
-        _slopes_for(l, s, 0, (F(1), F(1), F(1)))
+def test_support_normal_rejects_negated_facet_normals():
+    # the summed negated normals at the origin give (1, 1, 1), which is
+    # maximized at the far corner
+    l = lat("cube:3")
+    negated = {m: (tuple(-x for x in n), -b) for m, (n, b) in l.facets.items()}
+    bad = ps.FaceLattice(l.dim, zip(l.masks, l.dims), coords=l.coords, facets=negated)
+    with pytest.raises(CrossCheckError, match="does not strictly support vertex 0"):
+        support_normal(bad, 0, 1)
+
+
+def test_vertex_figure_walks_the_ladder_past_tied_slopes():
+    # the polar of a triangle: at vertex 0 the t = 1 functional gives two
+    # equal slopes, so the figure is cut by the t = 2 functional
+    l = polar_lattice(lat("polygon:3"))
+    s = ps.choose_direction(None, l.coords)
+    a1, a2 = support_normal(l, 0, 1), support_normal(l, 0, 2)
+    assert ladder_slopes(l, s, 0)[0] == a2 != a1
+    q = vertex_figure(l, s, 0)
+    assert len(set(q.direction.heights)) == 2
+    assert q.lattice is sweep_mod._figure_cut(l, 0, a2)[0]
 
 
 def test_vertex_figure_shapes():
@@ -205,7 +218,7 @@ def test_figure_heights_are_height_plus_slope(spec):
     l, s = lat(spec), default_direction(spec)
     for vi in range(l.n_vertices):
         q = vertex_figure(l, s, vi)
-        _, slopes = support_normal(l, s, vi)
+        _, slopes = ladder_slopes(l, s, vi)
         edges = l.faces_at_vertex(vi, 1)
         assert all(type(h) is int for h in q.direction.heights)
         (lam,) = {F(h, slopes[e]) for h, e in zip(q.direction.heights, edges)}
@@ -410,7 +423,7 @@ def test_figure_memo_keys_on_the_direction():
         assert q1.lattice is q2.lattice
         assert q2.direction.heights == tuple(-h for h in q1.direction.heights)
         assert q2.direction == vertex_figure(fresh, s2, vi).direction
-        same_normal = support_normal(l, s3, vi)[0] == support_normal(l, s1, vi)[0]
+        same_normal = ladder_slopes(l, s3, vi)[0] == ladder_slopes(l, s1, vi)[0]
         assert (q3.lattice is q1.lattice) == same_normal
         r1, r2, r3 = (sweep_section(l, s, vi) for s in (s1, s2, s3))
         assert (r1 is None) == (r2 is None)
@@ -734,7 +747,8 @@ def test_vertex_figure_checks_the_induced_heights(monkeypatch):
 
 def sweep_counting_builds(monkeypatch, spec, deep):
     """cd_sweep on a fresh lattice (empty memo), counting the vertex
-    figures built: support_normal runs once per memo miss."""
+    figures built: support_normal runs once per memo miss, as the first
+    functional of each ladder separates the slopes here."""
     l = ps.hull_lattice(parse_input(spec))
     s = ps.choose_direction(None, l.coords)
     builds = []
@@ -770,3 +784,52 @@ def test_toric_sweep_reports_every_vertex():
     s = ps.choose_direction(None, l.coords)
     per, _ = ps.toric_sweep(l, s)
     assert sorted(per) == list(range(l.n_vertices))
+
+
+def count_fractions(monkeypatch) -> list:
+    """A list that grows by one for every Fraction built from now on."""
+    built = []
+    real_new = F.__new__
+
+    def new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", new)
+    if hasattr(F, "_from_coprime_ints"):  # arithmetic results bypass __new__
+        real_coprime = F._from_coprime_ints
+
+        def coprime(cls, *args):
+            built.append(args)
+            return real_coprime(*args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(coprime))
+    return built
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cross:4", "cube:4", "pyramid:polygon:5",
+                                  "prism:cross:3", "simplex:4",
+                                  "product:simplex:2:simplex:2"])
+def test_no_fraction_is_built_below_an_integer_input(monkeypatch, spec):
+    """Figures and sections are cut in integers: on integer coordinates
+    under the ladder, the sweeps and the partition build no Fraction."""
+    l = ps.hull_lattice(parse_input(spec))
+    s = ps.choose_direction(None, l.coords)
+    built = count_fractions(monkeypatch)
+    cd_sweep(l, s)
+    cd_sweep(l, s, deep=True)
+    ps.toric_sweep(l, s)
+    partition_mod.checked_partition(l, s)
+    assert built == []
+
+
+def test_s_and_minus_s_share_each_section_lattice():
+    l = ps.hull_lattice(parse_input("pyramid:cube:3"))
+    s = ps.choose_direction(None, l.coords)
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    shared = 0
+    for vi in range(l.n_vertices):
+        r = sweep_mod._section_lattice(l, s, vi)
+        assert r is sweep_mod._section_lattice(l, reverse, vi)
+        shared += r is not None
+    assert shared

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
-from conftest import default_direction, lat
+from conftest import default_direction, ladder_slopes, lat
 from polysweep.flagvec import CDPolynomial, cd_index, flag_f
 from polysweep.sweep import cd_sweep, choose_direction
 from polysweep.truncpartition import (
@@ -72,9 +72,9 @@ def test_top_face_middle_slope_case():
     tau = top_face(pyr, s, (vface, fi))
     beta = bottom_face(pyr, s, (vface, fi))
     assert len(tau) == 3 and pyr.dims[tau[1]] == 1
-    # oracle: compare the slope keys of the two edges of F at v directly,
-    # as support_normal computes them, not the figure heights
-    _, slope = ps.support_normal(pyr, s, vi)
+    # oracle: compare the slopes of the two edges of F at v directly,
+    # over Fraction, not the figure heights
+    _, slope = ladder_slopes(pyr, s, vi)
     edges = [e for e in pyr.faces_at_vertex(vi, 1) if pyr.masks[e] & ~pyr.masks[fi] == 0]
     assert tau[1] == max(edges, key=lambda e: slope[e])
     assert beta[1] == min(edges, key=lambda e: slope[e])
