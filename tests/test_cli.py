@@ -87,6 +87,16 @@ def test_partition_dimension_gate(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["partition", "verify"])
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_max_dim_is_rejected(capsys, command, value):
+    # a negative cap would skip verify's partition check without a word
+    assert main([command, "--input", "cube:2", "--max-dim", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-dim must be at least 0, not {value}\n"
+
+
 def test_verify_passes(capsys):
     code, obj = run_json(capsys, "verify", "--input", "pyramid:polygon:4")
     assert code == 0

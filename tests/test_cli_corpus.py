@@ -58,6 +58,10 @@ COMMANDS = (
 # runs on the specs of dimension <= 3
 DEEP = ("verify", "--deep-sweep")
 
+# partition and verify above the default --max-dim, on two 5-polytopes,
+# where the partition recurses two levels deeper than at d = 4
+MAX_DIM_5 = ("simplex:5", "pyramid:cross:4")
+
 
 def invocations() -> list:
     out = []
@@ -70,6 +74,9 @@ def invocations() -> list:
             out.append((*DEEP, "--input", spec))
             if dim:
                 out.append((*DEEP, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
+    for spec in MAX_DIM_5:
+        for cmd in ("partition", "verify"):
+            out.append((cmd, "--max-dim", "5", "--input", spec))
     return out
 
 
@@ -111,7 +118,7 @@ def test_corpus_covers_every_invocation():
     assert sorted(_load()) == sorted(" ".join(a) for a in invocations())
 
 
-@pytest.mark.parametrize("spec", list(SPECS))
+@pytest.mark.parametrize("spec", [*SPECS, *MAX_DIM_5])
 def test_cli_output_is_unchanged(spec):
     golden = _load()
     with cached_hulls():

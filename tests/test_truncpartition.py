@@ -3,14 +3,20 @@ from fractions import Fraction as F
 import pytest
 
 import polysweep as ps
+import polysweep.truncpartition as tp
 from conftest import default_direction, ladder_slopes, lat
+from polysweep.cli import main
+from polysweep.errors import CrossCheckError
 from polysweep.flagvec import CDPolynomial, cd_index, flag_f
-from polysweep.sweep import cd_sweep, choose_direction
+from polysweep.sweep import _up_down, cd_sweep, choose_direction, vertex_figure
 from polysweep.truncpartition import (
     Block,
+    _has_vertex_entry,
+    _partition,
     _top_bottom,
     build_partition,
     chain_sigma,
+    checked_partition,
     enumerate_chains,
     verify_partition,
 )
@@ -236,3 +242,120 @@ def test_blocks_of_each_vertex_sum_to_its_sweep_part(spec):
             owned[b.owner] = owned[b.owner] + CDPolynomial.word(b.word)
         per, _ = cd_sweep(l, s)
         assert owned == per
+
+
+def figures_below(l, s, levels):
+    """(figure, the sub-vertices above its vertex) at every vertex but the
+    last swept, and, for levels > 1, the same inside those figures."""
+    out = []
+    for vi in range(l.n_vertices):
+        ups = _up_down(l, s, vi)[2]
+        if ups:
+            qv = vertex_figure(l, s, vi)
+            out.append((qv, ups))
+            if levels > 1:
+                out.extend(figures_below(qv.lattice, qv.direction, levels - 1))
+    return out
+
+
+def as_blocks(triples):
+    return [(word, owner, frozenset(chains)) for word, owner, chains in triples]
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "cross:4", "pyramid:cube:3", "prism:cross:3"])
+def test_figure_partition_of_the_owners_above_is_the_full_ones_blocks(spec):
+    # a figure partitioned for the sub-vertices above v has exactly the
+    # blocks of those owners in the figure's full partition, in order
+    l, s = lat(spec), default_direction(spec)
+    figures = figures_below(l, s, 2)
+    assert len(figures) > l.n_vertices
+    for qv, ups in figures:
+        q, sq = qv.lattice, qv.direction
+        full = as_blocks(_partition(q, sq, range(q.n_vertices)))
+        assert verify_partition([Block(*b) for b in full], enumerate_chains(q), q).ok
+        assert as_blocks(_partition(q, sq, ups)) == [b for b in full if b[1] in ups]
+
+
+def partition_calls(monkeypatch, spec) -> int:
+    """The _partition calls of checked_partition under the default direction."""
+    calls = []
+    real = tp._partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tp, "_partition", counted)
+    l = lat(spec)
+    _, _, report = checked_partition(l, default_direction(spec))
+    assert report.ok
+    return len(calls)
+
+
+def test_partition_builds_only_the_figure_blocks_it_reads(monkeypatch):
+    # 448 and 457 when every figure was partitioned in full
+    assert partition_calls(monkeypatch, "cube:4") == 161
+    assert partition_calls(monkeypatch, "cross:4") == 145
+
+
+def install_inner_mutant(monkeypatch, kind) -> list:
+    """Make the first faulty level the one below the top.  "drop": it
+    loses the merge record of one sub-block; "twice": it files the top of
+    one chain also in the pre-block of the next.  Returns the list of the
+    depths, the top level at 1, through which a CrossCheckError passed."""
+    real_partition, real_top_bottom = tp._partition, tp._top_bottom
+    depth, raised, done = [0], [], []
+    tops = {}
+
+    def partition(lat, s, wanted):
+        depth[0] += 1
+        try:
+            out = real_partition(lat, s, wanted)
+        except CrossCheckError:
+            raised.append(depth[0])
+            raise
+        finally:
+            depth[0] -= 1
+        if kind == "drop" and depth[0] == 2 and not done:
+            done.append(lat)
+            return out[:-1]
+        return out
+
+    def top_bottom(lat, s, chain, want_top):
+        got = real_top_bottom(lat, s, chain, want_top)
+        if kind == "twice" and depth[0] == 2 and want_top and not done:
+            if not _has_vertex_entry(lat, chain):
+                seen = tops.setdefault(id(lat), [])
+                seen.append(got)
+                if len(seen) == 2:
+                    done.append(lat)
+                    return seen[0]
+        return got
+
+    monkeypatch.setattr(tp, "_partition", partition)
+    monkeypatch.setattr(tp, "_top_bottom", top_bottom)
+    return raised
+
+
+INNER_MUTANTS = {
+    "drop": "merges do not hit every pre-block exactly once",
+    "twice": "filed under two pre-blocks",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INNER_MUTANTS))
+def test_inner_level_mutants_raise_at_that_level(monkeypatch, kind):
+    raised = install_inner_mutant(monkeypatch, kind)
+    l, s = lat("cross:4"), default_direction("cross:4")
+    with pytest.raises(CrossCheckError, match=INNER_MUTANTS[kind]):
+        checked_partition(l, s)
+    assert raised[0] == 2
+
+
+@pytest.mark.parametrize("kind", sorted(INNER_MUTANTS))
+@pytest.mark.parametrize("command", ["partition", "verify"])
+def test_inner_level_mutants_exit_3(monkeypatch, capsys, kind, command):
+    raised = install_inner_mutant(monkeypatch, kind)
+    assert main([command, "--input", "cross:4"]) == 3
+    assert raised[0] == 2
+    assert INNER_MUTANTS[kind] in capsys.readouterr().err
