@@ -59,9 +59,12 @@ def parse_input(spec: str) -> VRep:
     if os.path.exists(spec) or spec.endswith(".json"):
         try:
             return load_vrep(spec)
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as e:
             raise InputError(f"cannot read polytope file {spec!r}: {e}") from e
-    vrep, rest = _parse_spec(spec.split(":"))
+    tokens = spec.split(":")
+    if sum(t in ("pyramid", "prism", "product") for t in tokens) > MAX_NESTING:
+        raise InputError(f"input spec nests more than {MAX_NESTING} constructions")
+    vrep, rest = _parse_spec(tokens)
     if rest:
         raise InputError(f"trailing tokens in input spec: {rest}")
     return vrep
@@ -70,6 +73,8 @@ def parse_input(spec: str) -> VRep:
 # Far above what the hull answers (cube:7, 128 vertices, does not
 # finish); it stops a spec such as cube:28 before its vertices are built.
 MAX_VERTICES = 4096
+# Constructions, each a level of recursion in _parse_spec, whatever Python's limit.
+MAX_NESTING = 100
 
 _SIZED = {
     "simplex": (make_simplex, lambda n: n + 1),

@@ -73,9 +73,9 @@ class FaceLattice:
     ``facets`` maps each facet mask, in mask order, to the facet's
     outward hyperplane (normal, offset): normal.x <= offset on the
     polytope, with equality exactly on the facet.  ``hull_lattice`` and
-    the cuts in ``sweep`` supply it with the coordinates; it is None on
-    a lattice built without them.  Immutable after construction, apart
-    from its memo (see ``memoized``).
+    the cuts in ``sweep`` (by ``placed``) supply it with the coordinates;
+    it is None on a lattice built without them.  Immutable after
+    construction, apart from its memo (see ``memoized``).
     """
 
     def __init__(self, dim: int, faces, coords: VRep | None = None, facets=None):
@@ -83,7 +83,6 @@ class FaceLattice:
         self.dim = dim
         self.masks = tuple(m for m, _ in pairs)
         self.dims = tuple(k for _, k in pairs)
-        self.coords = coords
         self.index = {m: i for i, m in enumerate(self.masks)}
         if len(self.index) != len(self.masks):
             raise ValueError("duplicate face masks")
@@ -110,13 +109,24 @@ class FaceLattice:
                     down[i] &= ~at
         self.up, self.down = tuple(up), tuple(down)
         self.n_vertices = len(self.by_dim.get(0, ()))
+        self._memo: dict = {}
+        self._attach(coords, facets)
+
+    def placed(self, coords: VRep, facets) -> FaceLattice:
+        """This order with coordinates and facet hyperplanes attached: a
+        copy sharing every order field, with a memo of its own."""
+        new = object.__new__(FaceLattice)
+        new.__dict__.update(self.__dict__, _memo={})
+        new._attach(coords, facets)
+        return new
+
+    def _attach(self, coords: VRep | None, facets) -> None:
         if facets is not None:
-            top = [self.masks[i] for i in self.by_dim.get(dim - 1, ())]
+            top = [self.masks[i] for i in self.by_dim.get(self.dim - 1, ())]
             if sorted(facets) != top:
                 raise ValueError("the hyperplanes are not one per facet")
             facets = {m: facets[m] for m in top}
-        self.facets = facets
-        self._memo: dict = {}
+        self.coords, self.facets = coords, facets
 
     def f_vector(self) -> tuple:
         """(f_-1, f_0, ..., f_d)."""

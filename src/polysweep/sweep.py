@@ -10,22 +10,29 @@ vertex v the machinery builds
 * the section: the vertex figure sliced by the sweep hyperplane through
   v, whose faces are the faces that v neither tops nor bottoms.
 
+One rule, ``_up_down``, says which edges at v go up and which go down;
+every "above v", "upper", "lower" or "middle" reads it.  With it both
+lattices are read off the parent's order, without coordinates, by one
+builder, ``_lattice_over``: the star [v, P] over the edges at v (the
+figure's lattice), and the section, {v} and the faces at v holding an
+up-edge and a down-edge, over the 2-faces among them.  The symmetric
+sweep reads only these, and every sweep takes its section values from
+the latter.
+
 A figure carries exact integer coordinates so that the recursion can
-sweep it, and so does a section where it is swept; the depth and scale
-of a cut never matter, as the recursion compares only heights and
-slopes.  Both cuts are in closed form and in integers, so no Fraction
-is built below integer coordinates.  With a the support normal and
-gap_j = a.(v - w_j) > 0 for the j-th edge at v, from v to w_j, the
-figure's sub-vertex j is (w_j - v)(T / gap_j), T the lcm of the gaps.
-A section's point on an edge of the figure between heights h1 and h2 is
-scaled the same way, by the lcm of the h1 - h2.  One routine,
-``_slice``, makes both: a figure is the polytope sliced across the edges
-at v, a section is the figure sliced across its edges that cross the
-sweep hyperplane through v.  Dropping one coordinate k projects the cut
-plane injectively.  The facets of a slice are cut from facets of the
-polytope above it, so their normals are inherited: the parent's outward
-normal restricted to the cut plane, made primitive.  Only
-``hull_lattice`` eliminates.
+sweep it, and so does a section where the deep sweep or the partition
+sweeps it; the recursion compares only heights and slopes, so the depth
+and scale of a cut never matter.  A cut builds no lattice: ``_place``
+puts points and facet hyperplanes on the order read above, in closed
+form and in integers, so no Fraction is built below int coordinates.
+With a the support normal and gap_j = a.(v - w_j) > 0 for the j-th edge
+at v, from v to w_j, the figure's sub-vertex j is (w_j - v)(T / gap_j),
+T the lcm of the gaps.  A section's sub-vertex k is where the figure's
+edge in the k-th middle 2-face crosses height 0, scaled the same way.
+Dropping one coordinate k projects the cut plane injectively.  A cut's
+facets are cut from the parent's, so their normals are inherited: the
+parent's outward normal restricted to the cut plane, made primitive.
+Only ``hull_lattice`` eliminates.
 
 A figure's heights are the one record of the edge order at v.  With σ
 the sign of a_k, p restricted to the cut plane is a positive multiple of
@@ -34,19 +41,10 @@ less σ T p_k, it gives sub-vertex j the height |a_k| T slope(e_j), with
 slope(e_j) = (height(w_j) - height(v)) / gap_j and v at 0.  The support
 normal is the first on a ladder that makes these distinct.
 
-One rule, ``_up_down``, says which edges at v go up and which go down;
-every "above v", "upper", "lower" or "middle" reads it.  With it two
-lattices are read off the parent's order, without coordinates: the star
-[v, P] over the edges at v (the figure's lattice), and the section, {v}
-and the faces at v holding an up-edge and a down-edge, over the 2-faces
-among them.  The symmetric sweep reads only these, and every sweep takes
-its section values from the latter; a section is cut with coordinates
-only where it is swept, by the deep sweep and the partition.
-
-A figure's cut is kept per support normal, and a section's lattice per
-vertex and split of the edges at v.  s and -s negate every slope, so
-they share both: the reverse sweep in ``verify`` cuts only the figure at
-the forward sweep's last vertex, which no forward route reads.
+The star is kept per vertex and placed once per support normal, and a
+section's lattice per vertex and split of the edges at v.  s and -s
+negate every slope and share all three: the reverse sweep in ``verify``
+cuts only the figure at the forward sweep's last vertex.
 """
 
 from __future__ import annotations
@@ -100,8 +98,9 @@ class SweepDirection:
 
 @dataclass(frozen=True)
 class SubPolytope:
-    """A vertex figure or section: derived lattice, exact coordinates,
-    and the map back to the parent's faces.
+    """A vertex figure or section: the lattice read off the parent's
+    order, placed with exact coordinates, and the map back to the
+    parent's faces.
 
     A figure's direction is induced and integral: sub-vertex j has
     height λ slope(e_j) for the j-th edge e_j at v, with one λ > 0 per
@@ -112,8 +111,7 @@ class SubPolytope:
 
     lattice: FaceLattice
     direction: SweepDirection
-    face_parent: tuple  # sub-face index -> parent face index
-    vertex_face: int  # parent index of the face {v}
+    face_parent: tuple  # sub-face index -> parent face index; 0 -> {v}
 
 
 def choose_direction(p0, v: VRep) -> SweepDirection:
@@ -188,63 +186,60 @@ def _project(points: list, cols: list, dim: int) -> VRep:
     return VRep(dim, proj)
 
 
-def _lattice_over(lat: FaceLattice, atoms, faces, shift: int, coords=None, facet=None):
+def _lattice_over(lat: FaceLattice, atoms, faces, shift: int) -> tuple:
     """(sub-lattice, face map) of the faces ``faces`` of lat over the faces
     ``atoms``: face i becomes the mask of the atoms below it, ``shift``
     dimensions lower; the one with no atom below becomes the empty face.
-    ``facet(i, mask)``, if given, is the hyperplane cut from facet i."""
+    The only builder of sub-lattices; it reads the order alone."""
     sub_faces, parents = [], {}
-    facets = {} if facet is not None else None
     for i in faces:
         mask = sum(1 << j for j, e in enumerate(atoms) if lat.down[i] >> e & 1)
         sub_faces.append((mask, lat.dims[i] - shift if mask else -1))
         parents[mask] = i
-        if facets is not None and lat.dims[i] == lat.dim - 1:
-            facets[mask] = facet(i, mask)
-    sub = FaceLattice(lat.dim - shift, sub_faces, coords=coords, facets=facets)
+    sub = FaceLattice(lat.dim - shift, sub_faces)
     return sub, tuple(parents[m] for m in sub.masks)
 
 
-def _slice(lat: FaceLattice, edges, faces, points, plane):
-    """(sub-lattice, face map) of the slice of lat by a hyperplane with
-    normal ``plane`` that crosses edge ``edges[j]`` at the int point
-    ``points[j]`` and meets the faces in ``faces`` (see ``_lattice_over``).
+def _place(lat: FaceLattice, sub: FaceLattice, in_lat, points, plane) -> FaceLattice:
+    """sub, an order read off lat, placed as the slice of lat by a
+    hyperplane with normal ``plane``: sub-vertex j at the int point
+    ``points[j]``, projected, and sub-face i cut from face ``in_lat[i]``.
 
-    The points are projected.  A facet of the slice is cut from a facet
-    of lat, and its outward normal is that facet's restricted to the
-    plane, made primitive: restriction changes a functional on the plane
-    only by a constant and a positive factor, and the projection is
-    positive.  The slice is the same for plane and -plane.
+    A facet of the slice is cut from a facet of lat, and its outward
+    normal is that facet's restricted to the plane, made primitive:
+    restriction changes a functional on the plane only by a constant and
+    a positive factor, and the projection is positive.  The slice is the
+    same for plane and -plane.
     """
     cols, k = _cut(plane)
-    coords = _project(points, cols, lat.dim - 1)
-
-    def facet(i, mask):
-        normal = primitive(_restrict(lat.facets[lat.masks[i]][0], plane, cols, k))
-        return normal, dot(normal, coords.vertices[next(bits(mask))])
-
-    return _lattice_over(lat, edges, faces, 1, coords, facet if lat.dim > 1 else None)
+    coords = _project(points, cols, sub.dim)
+    facets = {}
+    for i in sub.by_dim[sub.dim - 1] if sub.dim else ():  # a point has none
+        normal = primitive(_restrict(lat.facets[lat.masks[in_lat[i]]][0], plane, cols, k))
+        facets[sub.masks[i]] = normal, dot(normal, coords.vertices[next(bits(sub.masks[i]))])
+    return sub.placed(coords, facets if sub.dim else None)
 
 
 @memoized
 def _figure_cut(lat: FaceLattice, vi: int, a: tuple) -> tuple:
-    """(sub-lattice, face map, gaps, D) of the cut of the tangent cone at
-    vi by a; kept per support normal, so every direction with it shares
-    it.  The rays w_j - v along the edges at v are scaled by D, the lcm
-    of their denominators (1 on int coordinates); gap_j = D a.(v - w_j) > 0
-    as a supports v strictly, and sub-vertex j is D (w_j - v)(T / gap_j),
-    T the lcm of the gaps: the cut by a.x = a.v - 1, translated to put v
-    at the origin and scaled by T, on the plane a.y = -T."""
+    """(lattice, face map, gaps, D): the star (``_star``) placed by the
+    cut of the tangent cone at vi by a, shared by every direction with
+    this support normal.  The rays w_j - v along the edges at v are
+    scaled by D, the lcm of their denominators (1 on int coordinates);
+    gap_j = D a.(v - w_j) > 0 as a supports v strictly, and sub-vertex j
+    is D (w_j - v)(T / gap_j), T the lcm of the gaps: the cut by
+    a.x = a.v - 1, translated to put v at the origin and scaled by T, on
+    the plane a.y = -T."""
+    star, face_parent = _star(lat, vi)
     pts = lat.coords.vertices
     v = pts[vi]
-    edges = lat.faces_at_vertex(vi, 1)
-    ends = [pts[_other_endpoint(lat, e, vi)] for e in edges]
+    ends = [pts[_other_endpoint(lat, e, vi)] for e in lat.faces_at_vertex(vi, 1)]
     flat, scale = integer_multiple([x - y for w in ends for x, y in zip(w, v)])
     rays = [flat[i : i + lat.dim] for i in range(0, len(flat), lat.dim)]
     gaps = [-dot(a, ray) for ray in rays]
     top = lcm(*gaps)
     points = [vscale(top // gap, ray) for ray, gap in zip(rays, gaps)]
-    return (*_slice(lat, edges, list(bits(lat.up[lat.index[1 << vi]])), points, a), gaps, scale)
+    return _place(lat, star, face_parent, points, a), face_parent, gaps, scale
 
 
 @memoized
@@ -279,7 +274,7 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
                 f"induced heights at vertex {vi} are not the slopes in the cut coordinates"
             )
         if len(set(heights)) == len(heights):
-            return SubPolytope(sub, SweepDirection(f, heights), face_parent, lat.index[1 << vi])
+            return SubPolytope(sub, SweepDirection(f, heights), face_parent)
     raise RuntimeError("support normal ladder exhausted")  # pragma: no cover
 
 
@@ -319,15 +314,15 @@ def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
 
 @memoized
 def _star(lat: FaceLattice, vi: int) -> tuple:
-    """(lattice, face map) of [v, P] over the edges at v, as in the figure."""
+    """(lattice, face map) of [v, P] over the edges at v: the figure's order."""
     return _lattice_over(lat, lat.faces_at_vertex(vi, 1), bits(lat.up[lat.index[1 << vi]]), 1)
 
 
 def _section_lattice(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple | None:
     """(lattice, face map) of the section at vi: {v} and the faces at v
     holding an up- and a down-edge at v, over the 2-faces among them, two
-    dimensions lower.  None as for ``sweep_section``.  Kept per split of
-    the edges at v, which s and -s share."""
+    dimensions lower, which ``sweep_section`` places.  None as for it.
+    Kept per split of the edges at v, which s and -s share."""
     up, down, _ = _up_down(lat, s, vi)
     if lat.dim < 2 or not (up and down):
         return None
@@ -343,50 +338,40 @@ def _split_section(lat: FaceLattice, vi: int, one: int, other: int) -> tuple:
 
 @memoized
 def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
-    """The vertex figure Q cut by the sweep hyperplane through v; None
-    below dimension 2 and when v is the lowest or highest vertex.  Only
-    the deep sweep and the partition, which sweep sections, cut them.
+    """The section read off lat (``_section_lattice``), placed as the
+    vertex figure Q cut by the sweep hyperplane through v; None below
+    dimension 2 and when v is the lowest or highest vertex.  Only the
+    deep sweep and the partition, which sweep sections, cut them.
 
-    The cut meets the faces of Q with sub-vertices on both sides of v,
-    which sits at height 0 in Q; these are the middle faces at v.
-    Sub-vertex k is where the k-th edge of Q crossing height 0 does so,
-    at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1 to y2, edges in
-    the mask order of their parent 2-faces, scaled by the lcm of the
-    h1 - h2.  Faces are the middle faces at v, dimension dropped by two.
-    The section's direction is the ladder direction on its own
-    coordinates, since the sweep is constant on it.
+    Sub-vertex k is where the edge of Q in the k-th middle 2-face at v
+    crosses height 0, at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1
+    to y2, scaled by the lcm of the h1 - h2.  The direction is the
+    ladder's on the section's coordinates; the sweep is constant on it.
     """
-    up, down, ups = _up_down(lat, s, vi)
-    if lat.dim < 2 or not (up and down):
+    read = _section_lattice(lat, s, vi)
+    if read is None:
         return None
+    r, face_parent = read
     qv = vertex_figure(lat, s, vi)
-    q, qheights = qv.lattice, qv.direction.heights
-
-    above = sum(1 << j for j in ups)
-    met = [i for i, m in enumerate(q.masks) if m & above and m & ~above]
-    crossing = sorted((i for i in met if q.dims[i] == 1), key=qv.face_parent.__getitem__)
-    ys = q.coords.vertices
-    ends = [q.edge_endpoints(e) for e in crossing]
+    q, ys, qheights = qv.lattice, qv.lattice.coords.vertices, qv.direction.heights
+    # a section face is cut from Q's face over the same face; {v} is Q's empty one
+    in_q = {p: i for i, p in enumerate(qv.face_parent)}
+    in_figure = [in_q[p] for p in face_parent]
+    ends = [q.edge_endpoints(in_figure[i]) for i in r.by_dim[0]]
     gaps = [qheights[j1] - qheights[j2] for j1, j2 in ends]
     top = lcm(*gaps)
     points = [
         vscale(top // gap, vsub(vscale(qheights[j1], ys[j2]), vscale(qheights[j2], ys[j1])))
         for (j1, j2), gap in zip(ends, gaps)
     ]
-    # Q's empty face, whose parent is {v}, becomes the section's
-    sub, in_figure = _slice(q, crossing, [0] + met, points, qv.direction.p)
-    return SubPolytope(
-        sub,
-        choose_direction(None, sub.coords),
-        tuple(qv.face_parent[i] for i in in_figure),
-        qv.vertex_face,
-    )
+    sub = _place(q, r, in_figure, points, qv.direction.p)
+    return SubPolytope(sub, choose_direction(None, sub.coords), face_parent)
 
 
 def map_chain(sub: SubPolytope, chain: tuple) -> tuple:
-    """Lift a chain of sub-polytope faces to the parent: prepend {v} and
-    replace each face by its parent face."""
-    return (sub.vertex_face,) + tuple(sub.face_parent[i] for i in chain)
+    """Lift a chain of sub-polytope faces to the parent: prepend {v}, the
+    parent of the empty face, and replace each face by its parent face."""
+    return tuple(sub.face_parent[i] for i in (0, *chain))
 
 
 # ---------------------------------------------------------------------------

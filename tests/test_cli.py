@@ -284,7 +284,8 @@ def test_closed_stdout_exit_2(fmt):
     # the reader goes away before the command writes anything
     proc = cli_process("verify", "--input", "cube:3", "--format", fmt)
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait() == 2
     assert err.startswith("error: cannot write standard output: ")
     assert "Traceback" not in err and "Exception ignored" not in err
@@ -421,12 +422,16 @@ DIRECTIONS = st.none() | st.lists(
 @example(command=["cdindex", "--method", "sweep"], source=_triangle_with("1e5000"), direction=None)
 @example(command=["cdindex", "--method", "sweep"], source="polygon:5", direction="1e200000000,1")
 @example(command=["cdindex", "--method", "sweep"], source=_triangle_with("1e200000000"), direction=None)
+# past the recursion limit of the JSON decoder and of the spec parser; a
+# bytes source is written to the file as it is
+@example(command=["describe"], source=b"[" * 100_000 + b"]" * 100_000, direction=None)
+@example(command=["describe"], source="pyramid:" * 1500 + "point", direction=None)
 def test_malformed_input_exit_0_or_2(command, source, direction):
     with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(source, dict):
+        if not isinstance(source, str):
             path = os.path.join(tmp, "input.json")
-            with open(path, "w") as f:
-                json.dump(source, f)
+            with open(path, "wb") as f:
+                f.write(source if isinstance(source, bytes) else json.dumps(source).encode())
             source = path
         argv = command + ["--input", source]
         if direction is not None:

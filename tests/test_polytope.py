@@ -201,6 +201,21 @@ def test_facet_hyperplanes_outward():
         FaceLattice(3, zip(l.masks, l.dims), coords=l.coords, facets=short)
 
 
+def test_placed_shares_the_order_and_keeps_its_own_geometry_and_memo():
+    l = lat("cube:3")
+    bare = FaceLattice(3, zip(l.masks, l.dims))
+    placed = bare.placed(l.coords, dict(reversed(l.facets.items())))
+    assert (placed.coords, placed.facets) == (l.coords, l.facets)
+    assert list(placed.facets) == list(l.facets)  # back in mask order
+    assert (bare.coords, bare.facets) == (None, None)
+    for name in ("masks", "dims", "index", "by_dim", "level", "up", "down"):
+        assert getattr(placed, name) is getattr(bare, name)
+    assert placed._memo == {} and placed._memo is not bare._memo
+    short = dict(list(l.facets.items())[1:])
+    with pytest.raises(ValueError, match="not one per facet"):
+        bare.placed(l.coords, short)
+
+
 def test_geometry_of_a_lattice_without_coordinates_raises():
     d = ps.dual(lat("cube:3"))
     with pytest.raises(ValueError, match="facet_hyperplanes needs a lattice with vertex coordinates"):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -441,9 +442,10 @@ def test_figure_memo_keys_on_the_direction():
 
 def test_sub_polytope_face_map_order_preserving():
     """Figures and sections map their faces into the parent injectively
-    and preserving order; a section's parent faces are {v} and the middle
-    faces at v, its sub-vertex k lies in the k-th middle 2-face, and it
-    carries the ladder direction on its coordinates."""
+    and preserving order, their empty face to {v}; a section's parent
+    faces are {v} and the middle faces at v, its sub-vertex k lies in the
+    k-th middle 2-face, and it carries the ladder direction on its
+    coordinates."""
     for spec in ("cube:3", "cross:4"):
         l, s = lat(spec), default_direction(spec)
         for vi in range(l.n_vertices):
@@ -456,13 +458,14 @@ def test_sub_polytope_face_map_order_preserving():
                     for fi in l.faces_at_vertex(vi, k)
                     if classify_face(l, s, vi, fi) == MIDDLE
                 ]
-                assert sorted(r.face_parent) == sorted([r.vertex_face] + middle)
+                assert sorted(r.face_parent) == sorted([l.index[1 << vi]] + middle)
                 two = [fi for fi in middle if l.dims[fi] == 2]
                 assert [r.face_parent[r.lattice.index[1 << k]]
                         for k in range(r.lattice.n_vertices)] == two
                 assert r.direction == choose_direction(None, r.lattice.coords)
                 subs.append(r)
             for q in subs:
+                assert q.face_parent[0] == l.index[1 << vi]
                 n = len(q.lattice.masks)
                 assert len(set(q.face_parent)) == n  # injective
                 for i in range(n):
@@ -613,28 +616,28 @@ def test_the_reverse_sweep_in_verify_cuts_only_the_figure_no_forward_route_reads
     sweep's last vertex, which the forward routes never read, and the
     symmetric sweeps cut nothing."""
     l = ps.hull_lattice(parse_input("pyramid:cube:3"))
-    directions, sliced = [], []
-    real_sweep, real_slice = sweep_mod.cd_sweep, sweep_mod._slice
+    directions, placed = [], []
+    real_sweep, real_place = sweep_mod.cd_sweep, sweep_mod._place
 
     def cd_sweep(lat_, s, deep=False):
         directions.append(s)
         return real_sweep(lat_, s, deep)
 
-    def counted(lat_, edges, faces, *args):
+    def counted(lat_, sub, in_lat, *args):
         if lat_ is l:
-            sliced.append((len(directions), faces[0]))
-        return real_slice(lat_, edges, faces, *args)
+            placed.append((len(directions), in_lat[0]))
+        return real_place(lat_, sub, in_lat, *args)
 
     monkeypatch.setattr(sweep_mod, "cd_sweep", cd_sweep)
-    monkeypatch.setattr(sweep_mod, "_slice", counted)
+    monkeypatch.setattr(sweep_mod, "_place", counted)
     checks = run_verification(l, None, 4, False)
     assert all(passed for _, passed in checks)
     forward, reverse = directions
     assert reverse.p == tuple(-x for x in forward.p)
-    # a figure cut's first face is {v}; the forward sweep (1) cuts one
-    # per vertex but its last, the reverse sweep (2) only that one
+    # a figure cut's empty face is cut from {v}; the forward sweep (1)
+    # cuts one per vertex but its last, the reverse sweep (2) only that one
     last = max(range(l.n_vertices), key=lambda i: forward.heights[i])
-    cuts = {n: [face for m, face in sliced if m == n] for n in (1, 2)}
+    cuts = {n: [face for m, face in placed if m == n] for n in (1, 2)}
     assert sorted(cuts[1]) == sorted(l.index[1 << vi] for vi in range(l.n_vertices) if vi != last)
     assert cuts[2] == [l.index[1 << last]]
 
@@ -668,29 +671,32 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     assert "sweep_section" in calls
 
 
-def star_and_section_match(l, s, depth) -> int:
+ORDER_FIELDS = ("dim", "masks", "dims", "index", "by_dim", "level", "up", "down")
+
+
+def cuts_place_the_read_lattices(l, s, depth) -> int:
     """At every vertex of l, and recursively through every figure and
-    section ``depth`` levels down: the star read off the order equals the
-    cut figure's lattice, and the section read off the order the cut
-    section's, in masks, dimensions and the face map into l.  Returns
-    the number of sections compared."""
+    section ``depth`` levels down: the cut figure is the star read off
+    the order, and the cut section the section read off it, placed: the
+    very order objects and face map, with coordinates, facets and a memo
+    of its own.  Returns the number of sections compared."""
     n = 0
     for vi in range(l.n_vertices):
-        star, star_parent = sweep_mod._star(l, vi)
         q = vertex_figure(l, s, vi)
-        assert (star.masks, star.dims, star_parent) == (
-            q.lattice.masks, q.lattice.dims, q.face_parent)
+        pairs = [(q, sweep_mod._star(l, vi))]
         read, r = sweep_mod._section_lattice(l, s, vi), sweep_section(l, s, vi)
         assert (read is None) == (r is None)
-        subs = [q]
         if r is not None:
-            assert (read[0].masks, read[0].dims, read[1]) == (
-                r.lattice.masks, r.lattice.dims, r.face_parent)
-            subs.append(r)
+            pairs.append((r, read))
             n += 1
+        for sub, (order, face_map) in pairs:
+            assert sub.face_parent is face_map
+            assert all(getattr(sub.lattice, f) is getattr(order, f) for f in ORDER_FIELDS)
+            assert order.coords is None and order.facets is None
+            assert sub.lattice.coords is not None and sub.lattice._memo is not order._memo
         if depth > 1:
-            n += sum(star_and_section_match(sub.lattice, sub.direction, depth - 1)
-                     for sub in subs if sub.lattice.dim >= 1)
+            n += sum(cuts_place_the_read_lattices(sub.lattice, sub.direction, depth - 1)
+                     for sub, _ in pairs if sub.lattice.dim >= 1)
     return n
 
 
@@ -699,9 +705,36 @@ def test_lattices_read_off_the_order_equal_the_cut_ones(spec):
     l = ps.hull_lattice(parse_input(spec))
     s = ps.choose_direction(None, l.coords)
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
-    counts = [star_and_section_match(l, d, 2) for d in (s, reverse)]
+    counts = [cuts_place_the_read_lattices(l, d, 2) for d in (s, reverse)]
     assert counts[0] == counts[1]
     assert counts[0] or l.dim < 2
+
+
+@pytest.mark.parametrize("spec", ["pyramid:cube:3", "prism:cross:3"])
+def test_verify_reads_each_sub_lattice_once_and_no_cut_builds_one(monkeypatch, spec):
+    """Over ``run_verification`` ``_lattice_over`` runs once per star, a
+    (parent, vertex), and once per section, a (parent, vertex, split of
+    the edges at v), called by the two readers alone: a cut only places."""
+    built, real = [], sweep_mod._lattice_over
+
+    def counted(lat_, atoms, faces, shift):
+        caller = sys._getframe(1)
+        faces = list(faces)
+        if caller.f_code.co_name == "_split_section":
+            key = (caller.f_locals["vi"], caller.f_locals["one"], caller.f_locals["other"])
+        else:
+            key = faces[0]
+        built.append((caller.f_code.co_name, lat_, key))
+        return real(lat_, atoms, faces, shift)
+
+    monkeypatch.setattr(sweep_mod, "_lattice_over", counted)
+    l = ps.hull_lattice(parse_input(spec))
+    checks = run_verification(l, None, 4, True)
+    assert all(passed for _, passed in checks)
+    readers = {caller for caller, _, _ in built}
+    assert readers == {"_star", "_split_section"}
+    keys = [(caller, id(lat_), key) for caller, lat_, key in built]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("spec", ["segment", "polygon:5", "cube:3", "cross:3",
