@@ -220,8 +220,12 @@ def cmd_toric(lat: FaceLattice, args) -> dict:
     # sweep the polar dual to get the input's own vector
     polar = polar_lattice(lat)
     s = choose_direction(args.direction, polar.coords)
-    fn = toric_sweep if method == "sweep" else toric_sweep_symmetric
-    per, total = fn(polar, s)
+    if method == "sweep":
+        per, total = toric_sweep(polar, s, deep=args.deep_sweep)
+        if args.deep_sweep and total != toric_from_cd(cd_index(lat)):
+            raise CrossCheckError("deep sweep disagrees with cd route")
+    else:
+        per, total = toric_sweep_symmetric(polar, s)
     return {
         "method": method,
         "toric": _fmt_vec(total),
@@ -363,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "table"), default="json")
     ap.add_argument("--output", help="write result here instead of stdout")
     ap.add_argument("--deep-sweep", action="store_true",
-                    help="recompute section cd-indices by recursive sweeps")
+                    help="verify, and cdindex and toric --method sweep: cut and "
+                    "sweep every vertex figure and section, and check each "
+                    "section's value")
     ap.add_argument("--max-dim", type=int, default=4,
                     help="dimension cap for the partition construction")
     return ap
@@ -373,6 +379,11 @@ VALID_METHODS = {
     "cdindex": ("flag", "sweep", "symmetric"),
     "toric": ("def", "cd", "sweep", "symmetric"),
 }
+
+
+# the routes that run the recursive sweep, which --deep-sweep checks;
+# None is the command without --method
+DEEP_SWEEPS = {"cdindex": ("sweep",), "toric": ("sweep",), "verify": (None,)}
 
 
 # a value such as -3,4 is read by argparse as an option, not a number
@@ -404,6 +415,12 @@ def main(argv=None) -> int:
                 raise InputError(
                     f"{args.command} method must be one of {', '.join(allowed)}"
                 )
+        if args.deep_sweep and args.method not in DEEP_SWEEPS.get(args.command, ()):
+            route = args.command + (f" --method {args.method}" if args.method else "")
+            raise InputError(
+                f"{route} does no recursive sweep; --deep-sweep applies to verify "
+                "and to cdindex and toric with --method sweep"
+            )
         vrep = parse_input(args.input)
         if args.direction is not None:
             args.direction = parse_direction(args.direction)

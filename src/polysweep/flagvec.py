@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotCDExpressible
-from .polytope import FaceLattice, bits
+from .polytope import FaceLattice, bits, memoized
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,9 @@ def reverse_words(phi: CDPolynomial) -> CDPolynomial:
     return CDPolynomial({w[::-1]: c for w, c in phi.terms.items()})
 
 
+@memoized
 def cd_index(l: FaceLattice) -> CDPolynomial:
-    """The cd-index by the flag route: chains -> flag h -> ab -> cd."""
+    """The cd-index by the flag route: chains -> flag h -> ab -> cd,
+    once per lattice; every caller shares the result, which nothing
+    mutates."""
     return cd_from_ab(flag_h(flag_f(l)))

@@ -19,12 +19,24 @@ up-edge and a down-edge, over the 2-faces among them.  The symmetric
 sweep reads only these, and every sweep takes its section values from
 the latter.
 
-A figure carries exact integer coordinates so that the recursion can
+The recursive sweep needs at v the sum of the figure's parts over its
+sub-vertices above v.  By Stanley's S-shelling that sum depends only on
+which sub-vertices lie above v, and for figures of dimension <= 3 it has
+a closed form in counts at v (``_figure_sum``).  So the default sweep
+cuts figures only above dimension 4: none on 3- and 4-polytopes, and on
+a 5-polytope those of the top level alone.  The deep sweep cuts and
+sweeps every figure and section, which checks the closed forms; the
+partition cuts the figures and sections whose blocks it reads; the
+symmetric sweeps cut nothing.
+
+A figure carries exact integer coordinates so that what cuts it can
 sweep it, and so does a section where the deep sweep or the partition
 sweeps it; the recursion compares only heights and slopes, so the depth
-and scale of a cut never matter.  A cut builds no lattice: ``_place``
-puts points and facet hyperplanes on the order read above, in closed
-form and in integers, so no Fraction is built below int coordinates.
+and scale of a cut never matter.  The figure of a 1-dimensional lattice
+is a point, read off the order with nothing to cut.  A cut builds no
+lattice: ``_place`` puts points and facet hyperplanes on the order read
+above, in closed form and in integers, so no Fraction is built below
+int coordinates.
 With a the support normal and gap_j = a.(v - w_j) > 0 for the j-th edge
 at v, from v to w_j, the figure's sub-vertex j is (w_j - v)(T / gap_j),
 T the lcm of the gaps.  A section's sub-vertex k is where the figure's
@@ -43,8 +55,9 @@ normal is the first on a ladder that makes these distinct.
 
 The star is kept per vertex and placed once per support normal, and a
 section's lattice per vertex and split of the edges at v.  s and -s
-negate every slope and share all three: the reverse sweep in ``verify``
-cuts only the figure at the forward sweep's last vertex.
+negate every slope and share all three: on a 5-polytope the reverse
+sweep in ``verify`` cuts only the figure at the forward sweep's last
+vertex.
 """
 
 from __future__ import annotations
@@ -257,6 +270,16 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
     """
     if lat.dim < 1:
         raise ValueError("a vertex figure needs dimension at least 1")
+    if lat.dim == 1:
+        # a point, read off the order with nothing to cut; its one
+        # height is the rise of the edge, a positive multiple of the slope
+        star, face_parent = _star(lat, vi)
+        (e,) = lat.faces_at_vertex(vi, 1)
+        rise = s.heights[_other_endpoint(lat, e, vi)] - s.heights[vi]
+        heights, _ = integer_multiple((rise,))
+        return SubPolytope(
+            star.placed(VRep(0, ((),)), None), SweepDirection((), heights), face_parent
+        )
     p, scale = integer_multiple(s.p)
     ends = (_other_endpoint(lat, e, vi) for e in lat.faces_at_vertex(vi, 1))
     rises = [s.heights[w] - s.heights[vi] for w in ends]
@@ -402,10 +425,11 @@ def sweep_recursive(
 
     The contribution at v is d times the section's value plus c times
     the recursive per-vertex parts of the vertex figure, summed over its
-    sub-vertices above height(v); the last vertex swept contributes
-    zero.  The section's value is computed directly on the lattice
-    ``_section_lattice``; with deep=True the cut section is also swept
-    under its own direction, and the two must agree.
+    sub-vertices above height(v), in closed form below dimension 5
+    unless deep=True; the last vertex swept contributes zero.  The
+    section's value is computed directly on the lattice
+    ``_section_lattice``; with deep=True the figure and the section are
+    also cut and swept, and the section's two values must agree.
     """
     if lat.dim == 0:
         return {0: alg.one}, alg.one
@@ -416,25 +440,30 @@ def sweep_recursive(
 def _sweep_parts(
     alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
 ) -> dict:
-    """The per-vertex parts of the vertices in wanted only.  A figure's
-    parts are read at its sub-vertices above v, those on the edges at v
-    going up, so only those are swept; with deep=True all are, to check
-    every section."""
+    """The per-vertex parts of the vertices in wanted only.  Below
+    dimension 5 the default sweep takes the figure's parts above v in
+    closed form (``_figure_sum``) and cuts no figure; above, it cuts the
+    figure and sweeps its sub-vertices above v, those on the edges at v
+    going up.  With deep=True every figure is cut and all of its
+    sub-vertices are swept, to check every section."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}
     per = {}
     for vi in wanted:
         term = alg.zero(d)
-        up = _up_down(lat, s, vi)[2]
+        _, down, up = _up_down(lat, s, vi)
         if not up:  # the last vertex swept
             per[vi] = term
             continue
-        qv = vertex_figure(lat, s, vi)
-        swept = range(qv.lattice.n_vertices) if deep else up
-        sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
-        for j in up:
-            term = alg.add(term, alg.c(sub_per[j]))
+        if d <= 4 and not deep:
+            term = alg.c(_figure_sum(alg, lat, vi, len(up), down))
+        else:
+            qv = vertex_figure(lat, s, vi)
+            swept = range(qv.lattice.n_vertices) if deep else up
+            sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
+            for j in up:
+                term = alg.add(term, alg.c(sub_per[j]))
         r = _section_lattice(lat, s, vi)
         if r is not None:
             val_r = alg.value(r[0])
@@ -449,6 +478,35 @@ def _sweep_parts(
             term = alg.add(term, alg.d(val_r))
         per[vi] = term
     return per
+
+
+def _figure_sum(alg: SweepAlgebra, lat: FaceLattice, vi: int, u: int, down: int):
+    """The sum of the vertex figure's parts over its u sub-vertices above
+    v, for lat of dimension 1 to 4, from counts at v alone (Stanley's
+    S-shelling: it depends only on which sub-vertices lie above v).
+    down is the mask of the edges at v going down.
+
+    On a segment the lower end's part is c and the upper end's 0; on a
+    polygon the bottom's is c^2, each middle vertex's d and the top's 0.
+    Above v in a 3-polytope figure every sub-vertex but the bottom has
+    an edge going down, and their up-degrees sum to e, the number of
+    2-faces at v whose two edges at v both go up."""
+    one, c, d, times = alg.one, alg.c, alg.d, alg.scale
+    m = u - 1
+    if lat.dim == 1:
+        return one
+    if lat.dim == 2:
+        return alg.zero(1) if down else c(one)
+    if lat.dim == 3:
+        if down:
+            return times(m, d(one))
+        return alg.add(c(c(one)), times(m - 1, d(one)))
+    e = sum(1 for f in lat.faces_at_vertex(vi, 2) if not lat.down[f] & down)
+    if down:
+        return alg.add(c(times(e - m, d(one))), times(m, d(c(one))))
+    return alg.add(
+        c(alg.add(c(c(one)), times(e - m - 1, d(one)))), times(m - 1, d(c(one)))
+    )
 
 
 def sweep_symmetric(

@@ -146,11 +146,14 @@ TORIC_ALGEBRA = SweepAlgebra(
 )
 
 
-def toric_sweep(lat: FaceLattice, s: SweepDirection) -> tuple[dict, tuple]:
+def toric_sweep(
+    lat: FaceLattice, s: SweepDirection, deep: bool = False
+) -> tuple[dict, tuple]:
     """Per-vertex contributions to h(boundary of P dual) and their sum:
     op_d of the section's dual h plus op_c of the recursive per-vertex
-    parts of the vertex figure over its upward sub-vertices."""
-    return sweep_recursive(TORIC_ALGEBRA, lat, s)
+    parts of the vertex figure over its upward sub-vertices; deep as
+    for ``sweep_recursive``."""
+    return sweep_recursive(TORIC_ALGEBRA, lat, s, deep)
 
 
 def toric_sweep_symmetric(lat: FaceLattice, s: SweepDirection) -> tuple[dict, tuple]:

@@ -57,7 +57,7 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
     h_def = toric.toric_h_definition(lat)
     h_cd = toric.toric_from_cd(phi, degree=d)
     checks.append(("toric definition equals cd route", h_def == h_cd))
-    _, h_dualsweep = toric.toric_sweep(lat, s1)
+    _, h_dualsweep = toric.toric_sweep(lat, s1, deep=deep)
     checks.append(
         ("toric sweep equals reversed-cd route of the dual",
          h_dualsweep == toric.toric_from_cd(flagvec.reverse_words(phi), degree=d))
@@ -67,7 +67,7 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
     if d >= 1:
         polar = polytope.polar_lattice(lat)
         sp = sweep.choose_direction(None, polar.coords)
-        _, via_polar = toric.toric_sweep(polar, sp)
+        _, via_polar = toric.toric_sweep(polar, sp, deep=deep)
         checks.append(("toric via polar sweep equals definition", via_polar == h_def))
     checks.append(("toric h symmetric", toric.is_symmetric(h_def)))
     checks.append(("toric h starts at 1", h_def[0] == 1))

@@ -2,11 +2,13 @@
 
     python3 tests/cli_compare.py OLD_CHECKOUT NEW_CHECKOUT
 
-The corpus is 672 invocations: the 29 builtin specs named in `tests/`
+The corpus is 742 invocations: the 29 builtin specs named in `tests/`
 and README, each with describe, flag, extended, every cdindex and toric
-method, `--deep-sweep`, partition and verify (JSON and table); for
-dimension >= 1 the sweep methods, partition and verify again with a
-`--direction=...`; and for dimension <= 3 `verify --deep-sweep`.
+method, the recursive cdindex and toric sweeps with `--deep-sweep`,
+partition and verify (JSON and table); for dimension >= 1 the sweep
+methods, partition and verify again with a `--direction=...`; for
+dimension <= 4 `verify --deep-sweep`, and for dimension 4 again with a
+`--direction=...`.
 
 Each checkout runs in its own Python process with its `src/` first on
 the path, calling `polysweep.cli.main` in process for every invocation
@@ -61,6 +63,7 @@ DIRECTED = (
     ("cdindex", "--method", "symmetric"),
     ("cdindex", "--method", "sweep", "--deep-sweep"),
     ("toric", "--method", "sweep"),
+    ("toric", "--method", "sweep", "--deep-sweep"),
     ("toric", "--method", "symmetric"),
     ("partition",),
     ("verify",),
@@ -76,8 +79,11 @@ def invocations() -> list:
         if dim:
             for cmd in DIRECTED:
                 out.append((*cmd, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
-        if dim <= 3:
+        if dim <= 4:
             out.append(("verify", "--deep-sweep", "--input", spec))
+        if dim == 4:
+            out.append(("verify", "--deep-sweep", "--input", spec,
+                        f"--direction={DIRECTIONS[dim]}"))
     return out
 
 

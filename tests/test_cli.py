@@ -218,6 +218,48 @@ def test_deep_sweep_flag(capsys):
     assert obj["cd"] == {"ccc": 1, "dc": 6, "cd": 4}
 
 
+@pytest.mark.parametrize("argv, route", [
+    (["describe"], "describe"),
+    (["flag"], "flag"),
+    (["extended"], "extended"),
+    (["partition"], "partition"),
+    (["cdindex"], "cdindex"),
+    (["cdindex", "--method", "symmetric"], "cdindex --method symmetric"),
+    (["toric"], "toric"),
+    (["toric", "--method", "cd"], "toric --method cd"),
+    (["toric", "--method", "symmetric"], "toric --method symmetric"),
+])
+def test_deep_sweep_without_a_recursive_sweep_exits_2(capsys, argv, route):
+    # the flag was ignored without a word on every route but two
+    assert main([*argv, "--input", "cube:3", "--deep-sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {route} does no recursive sweep; --deep-sweep applies to "
+        "verify and to cdindex and toric with --method sweep\n"
+    )
+
+
+def test_toric_deep_sweep_cuts_sections(capsys, monkeypatch):
+    import polysweep.sweep as sweep_mod
+
+    cut = []
+    real = sweep_mod.sweep_section
+
+    def spy(*args):
+        cut.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "sweep_section", spy)
+    code, plain = run_json(capsys, "toric", "--method", "sweep", "--input", "cube:3")
+    assert code == 0 and cut == []
+    code, deep = run_json(
+        capsys, "toric", "--method", "sweep", "--input", "cube:3", "--deep-sweep"
+    )
+    assert code == 0 and cut
+    assert deep == plain
+
+
 def cli_process(*args, flags=(), memory=None):
     """A subprocess running the CLI of this checkout, stdout and stderr
     piped; memory caps its address space in bytes."""

@@ -49,13 +49,14 @@ COMMANDS = (
     ("cdindex", "--method", "symmetric"),
     ("cdindex", "--method", "sweep", "--deep-sweep"),
     ("toric", "--method", "sweep"),
+    ("toric", "--method", "sweep", "--deep-sweep"),
     ("toric", "--method", "symmetric"),
     ("partition",),
     ("verify",),
 )
 
-# verify --deep-sweep re-sweeps every section by its coordinates; it
-# runs on the specs of dimension <= 3
+# verify --deep-sweep re-sweeps every figure and section by its
+# coordinates; it runs on every spec above
 DEEP = ("verify", "--deep-sweep")
 
 # partition and verify above the default --max-dim, on two 5-polytopes,
@@ -70,10 +71,9 @@ def invocations() -> list:
             out.append((*cmd, "--input", spec))
             if dim:
                 out.append((*cmd, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
-        if dim <= 3:
-            out.append((*DEEP, "--input", spec))
-            if dim:
-                out.append((*DEEP, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
+        out.append((*DEEP, "--input", spec))
+        if dim:
+            out.append((*DEEP, "--input", spec, f"--direction={DIRECTIONS[dim]}"))
     for spec in MAX_DIM_5:
         for cmd in ("partition", "verify"):
             out.append((cmd, "--max-dim", "5", "--input", spec))

@@ -371,10 +371,11 @@ def test_deep_sweep_cross_validates():
 
 
 def test_routes_get_the_same_figures_and_sections(monkeypatch):
-    """The cd sweep, the toric sweep and the partition on one lattice and
-    direction all get the vertex figure the first built.  The sweeps cut
-    no section: they read section values off the lattice.  The partition
-    cuts each section once."""
+    """Below dimension 5 the cd sweep and the toric sweep get no vertex
+    figure and no section: they take the figure's parts in closed form
+    and read section values off the lattice.  The partition gets each
+    figure it reads as the one object first built, and cuts each section
+    once."""
     l = ps.hull_lattice(parse_input("pyramid:polygon:4"))
     s = ps.choose_direction(None, l.coords)
     got: dict = {}
@@ -394,7 +395,7 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
         monkeypatch.setattr(mod, "sweep_section", section)
     ps.cd_sweep(l, s)
     ps.toric_sweep(l, s)
-    assert not any(kind == "section" for kind, _ in got)
+    assert got == {}
     ps.build_partition(l, s)
 
     for objs in got.values():
@@ -611,11 +612,12 @@ def test_figures_and_sections_hold_no_fractions(spec):
 def test_the_reverse_sweep_in_verify_cuts_only_the_figure_no_forward_route_reads(
     monkeypatch,
 ):
-    """verify's reverse cd sweep reuses the figure cuts of the forward
-    sweep: of the input lattice it cuts only the figure at the forward
-    sweep's last vertex, which the forward routes never read, and the
-    symmetric sweeps cut nothing."""
-    l = ps.hull_lattice(parse_input("pyramid:cube:3"))
+    """verify's reverse cd sweep of a 5-polytope reuses the figure cuts of
+    the forward sweep: of the input lattice it cuts only the figure at
+    the forward sweep's last vertex, which the forward routes never read,
+    and the symmetric sweeps cut nothing.  Below dimension 5 the sweeps
+    cut no figure at all (``test_no_sweep_cuts_a_section_unless_deep``)."""
+    l = ps.hull_lattice(parse_input("simplex:5"))
     directions, placed = [], []
     real_sweep, real_place = sweep_mod.cd_sweep, sweep_mod._place
 
@@ -646,8 +648,9 @@ def test_the_reverse_sweep_in_verify_cuts_only_the_figure_no_forward_route_reads
                                   "pyramid:cube:3", "prism:cross:3"])
 def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     """Without deep=True no sweep calls ``sweep_section``: every section
-    value is read off the lattice.  The symmetric sweeps call neither
-    ``vertex_figure`` nor ``support_normal`` either."""
+    value is read off the lattice.  Below dimension 5 no sweep calls
+    ``vertex_figure`` or ``support_normal`` either: the recursive sweeps
+    take the figure's parts in closed form.  The deep sweep cuts both."""
     calls = []
 
     def spy(name, fn):
@@ -666,9 +669,10 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     assert calls == []
     ps.cd_sweep(l1, s)
     ps.toric_sweep(l2, s)
-    assert "vertex_figure" in calls and "sweep_section" not in calls
+    assert calls == []
     ps.cd_sweep(l3, s, deep=True)
-    assert "sweep_section" in calls
+    assert {"vertex_figure", "support_normal"} <= set(calls)
+    assert ("sweep_section" in calls) == (l3.dim >= 2)
 
 
 ORDER_FIELDS = ("dim", "masks", "dims", "index", "by_dim", "level", "up", "down")
@@ -797,19 +801,91 @@ def sweep_counting_builds(monkeypatch, spec, deep):
 
 
 def test_sweep_builds_only_the_figures_it_reads(monkeypatch):
-    l, per, total, builds = sweep_counting_builds(monkeypatch, "cube:4", False)
-    assert builds == 40  # 240 when every vertex of every figure was swept
-    assert sorted(per) == list(range(l.n_vertices))
-    assert total == cd_index(l)
-    _, per_deep, _, _ = sweep_counting_builds(monkeypatch, "cube:4", True)
-    assert per == per_deep
+    # a 4-polytope's sweep cuts no figure; a 5-polytope's cuts its own
+    # at every vertex but the last and sweeps them in closed form (before
+    # the closed form cube:4 built 40, simplex:5 31 and cross:5 121)
+    for spec, builds in (("cube:4", 0), ("simplex:5", 5), ("cross:5", 9)):
+        l, per, total, n = sweep_counting_builds(monkeypatch, spec, False)
+        assert n == builds
+        assert sorted(per) == list(range(l.n_vertices))
+        assert total == cd_index(l)
+        _, per_deep, _, _ = sweep_counting_builds(monkeypatch, spec, True)
+        assert per == per_deep
 
 
 def test_deep_sweep_still_builds_every_figure(monkeypatch):
+    # every figure down to the segments; a segment's figure is a point,
+    # read off the order with no support normal
     l, per, total, builds = sweep_counting_builds(monkeypatch, "cube:4", True)
-    assert builds == 338
+    assert builds == 184
     assert sorted(per) == list(range(l.n_vertices))
     assert total == cd_index(l)
+
+
+def hull_of_vertices(d, pts):
+    """The hull lattice of the points with every non-vertex dropped;
+    NotFullDimensional when what is left does not span dimension d."""
+    pts = list(pts)
+    while True:
+        try:
+            return ps.hull_lattice(ps.VRep(d, tuple(pts)))
+        except ps.NonVertexPoint as e:
+            del pts[e.index]
+
+
+@st.composite
+def swept_polytopes(draw):
+    """(lattice, direction): the hull of a few random integer points in
+    dimension 1-5, or its polar, which has Fraction coordinates, under a
+    random direction generic on it."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 1, d + (2 if d == 5 else 3)))
+    coords = st.tuples(*[st.integers(-4, 4)] * d)
+    pts = draw(st.lists(coords, min_size=n, max_size=n, unique=True))
+    try:
+        l = hull_of_vertices(d, pts)
+    except ps.NotFullDimensional:
+        assume(False)
+    if draw(st.booleans()):
+        l = polar_lattice(l)
+    p = draw(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d))
+    try:
+        return l, ps.choose_direction(tuple(p), l.coords)
+    except NotGeneric:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_polytopes())
+def test_closed_form_parts_equal_the_cut_figures_parts(case):
+    """Below dimension 5 the default sweep takes each figure's parts in
+    closed form, the deep sweep by cutting and sweeping the figure: the
+    per-vertex parts agree, under s and -s, for both algebras."""
+    l, s = case
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    for direction in (s, reverse):
+        for sweep in (cd_sweep, ps.toric_sweep):
+            assert sweep(l, direction) == sweep(l, direction, deep=True)
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_verify_passes_deep_to_every_recursive_sweep(monkeypatch, deep):
+    # the two cd sweeps, the toric sweep and the polar's toric sweep
+    import polysweep.toric as toric_mod
+
+    got = []
+
+    def spy(fn):
+        def wrapper(lat_, s, deep=False):
+            got.append((fn.__name__, deep))
+            return fn(lat_, s, deep)
+        return wrapper
+
+    monkeypatch.setattr(sweep_mod, "cd_sweep", spy(sweep_mod.cd_sweep))
+    monkeypatch.setattr(toric_mod, "toric_sweep", spy(toric_mod.toric_sweep))
+    checks = run_verification(lat("cube:3"), None, 4, deep)
+    assert all(passed for _, passed in checks)
+    assert sorted(got) == [("cd_sweep", deep)] * 2 + [("toric_sweep", deep)] * 2
 
 
 def test_toric_sweep_reports_every_vertex():
