@@ -1,9 +1,11 @@
-"""Batch command-line front end.
+"""Batch command-line front end: it parses the input, dispatches to the
+library and renders the result.
 
 Commands: describe, flag, cdindex, toric, extended, partition, verify.
 Inputs are either a JSON file ({"dim": d, "vertices": [["0","1/2"],...]})
 or a builtin spec such as cube:3, polygon:7, pyramid:polygon:4,
-product:cube:2:polygon:3.
+product:cube:2:polygon:3.  cdindex and toric run the row of
+``verify.ROUTES`` that --method names; the library does every check.
 
 Exit codes: 0 success; 2 invalid input (non-generic direction, points
 that are not vertices, non-Eulerian data, bad spec); 3 internal
@@ -23,33 +25,12 @@ from fractions import Fraction
 from . import verify
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotInImage
 from .exactnum import exact
-from .flagvec import ab_index, cd_index, flag_f, flag_h
+from .flagvec import ab_index, flag_f, flag_h
 from .polytope import (
-    FaceLattice,
-    VRep,
-    bits,
-    hull_lattice,
-    is_eulerian,
-    lattice_to_json,
-    load_vrep,
-    make_crosspolytope,
-    make_cube,
-    make_polygon,
-    make_simplex,
-    polar_lattice,
-    prism,
-    product,
-    pyramid,
+    FaceLattice, VRep, bits, hull_lattice, is_eulerian, lattice_to_json, load_vrep,
+    make_crosspolytope, make_cube, make_polygon, make_simplex, prism, product, pyramid,
 )
-from .sweep import cd_sweep, cd_sweep_symmetric, choose_direction
-from .toric import (
-    extended_toric,
-    reconstruct_cd,
-    toric_from_cd,
-    toric_h_definition,
-    toric_sweep,
-    toric_sweep_symmetric,
-)
+from .sweep import choose_direction
 from .truncpartition import checked_partition
 
 SCHEMA = 1
@@ -192,56 +173,25 @@ def cmd_flag(lat: FaceLattice, args) -> dict:
     }
 
 
-def cmd_cdindex(lat: FaceLattice, args) -> dict:
-    method = args.method or "flag"
-    if method == "flag":
-        return {"method": method, "cd": cd_index(lat).to_json()}
-    s = choose_direction(args.direction, lat.coords)
-    if method == "sweep":
-        per, total = cd_sweep(lat, s, deep=args.deep_sweep)
-        if args.deep_sweep and total != cd_index(lat):
-            raise CrossCheckError("deep sweep disagrees with flag route")
-    else:
-        per, total = cd_sweep_symmetric(lat, s)
-    return {
-        "method": method,
-        "cd": total.to_json(),
-        "per_vertex": _per_vertex(s, per, "cd", lambda phi: phi.to_json()),
-    }
+# the key and the format of each quantity of verify.ROUTES
+_PRINTED_AS = {"cdindex": ("cd", lambda phi: phi.to_json()), "toric": ("toric", _fmt_vec)}
 
 
-def cmd_toric(lat: FaceLattice, args) -> dict:
-    method = args.method or "def"
-    if method == "def":
-        return {"method": method, "toric": _fmt_vec(toric_h_definition(lat))}
-    if method == "cd":
-        return {"method": method, "toric": _fmt_vec(toric_from_cd(cd_index(lat)))}
-    # sweeping a polytope accumulates the toric h-vector of its dual, so
-    # sweep the polar dual to get the input's own vector
-    polar = polar_lattice(lat)
-    s = choose_direction(args.direction, polar.coords)
-    if method == "sweep":
-        per, total = toric_sweep(polar, s, deep=args.deep_sweep)
-        if args.deep_sweep and total != toric_from_cd(cd_index(lat)):
-            raise CrossCheckError("deep sweep disagrees with cd route")
-    else:
-        per, total = toric_sweep_symmetric(polar, s)
-    return {
-        "method": method,
-        "toric": _fmt_vec(total),
-        "swept": "polar-dual",
-        "per_vertex": _per_vertex(s, per, "toric", _fmt_vec),
-    }
+def cmd_route(lat: FaceLattice, args) -> dict:
+    """The value of the quantity by the route --method names."""
+    route = verify.ROUTES[args.command][args.method]
+    value, per, s = route.run(lat, args.direction, args.deep_sweep)
+    key, fmt = _PRINTED_AS[args.command]
+    payload = {"method": args.method, key: fmt(value)}
+    if route.polar:
+        payload["swept"] = "polar-dual"
+    if per is not None:
+        payload["per_vertex"] = _per_vertex(s, per, key, fmt)
+    return payload
 
 
 def cmd_extended(lat: FaceLattice, args) -> dict:
-    phi = cd_index(lat)
-    ext = extended_toric(phi, degree=lat.dim)
-    rebuilt = reconstruct_cd(ext, lat.dim)
-    if rebuilt != phi:
-        raise CrossCheckError(
-            f"extended toric reconstruction mismatch: {rebuilt} vs {phi}"
-        )
+    ext, rebuilt = verify.extended(lat)
     return {
         "extended": {(w if w else "1"): _fmt_vec(v) for w, v in ext.items()},
         "reconstructed_cd": rebuilt.to_json(),
@@ -345,8 +295,7 @@ def _printed(render, value) -> str:
 COMMANDS = {
     "describe": cmd_describe,
     "flag": cmd_flag,
-    "cdindex": cmd_cdindex,
-    "toric": cmd_toric,
+    **dict.fromkeys(verify.ROUTES, cmd_route),
     "extended": cmd_extended,
     "partition": cmd_partition,
     "verify": cmd_verify,
@@ -361,29 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--input", required=True, help="builtin spec or JSON path")
-    ap.add_argument("--method", help="cdindex: flag|sweep|symmetric; "
-                    "toric: def|cd|sweep|symmetric")
+    ap.add_argument("--method", help="; ".join(
+        f"{quantity}: {'|'.join(routes)}" for quantity, routes in verify.ROUTES.items()
+    ))
     ap.add_argument("--direction", help="comma-separated rationals, e.g. 1,2,4")
     ap.add_argument("--format", choices=("json", "table"), default="json")
     ap.add_argument("--output", help="write result here instead of stdout")
     ap.add_argument("--deep-sweep", action="store_true",
-                    help="verify, and cdindex and toric --method sweep: cut and "
-                    "sweep every vertex figure and section, and check each "
-                    "section's value")
+                    help=f"{_deep_routes()}: cut and sweep every vertex figure "
+                    "and section, and check each sweep's total")
     ap.add_argument("--max-dim", type=int, default=4,
                     help="dimension cap for the partition construction")
     return ap
 
 
-VALID_METHODS = {
-    "cdindex": ("flag", "sweep", "symmetric"),
-    "toric": ("def", "cd", "sweep", "symmetric"),
-}
-
-
-# the routes that run the recursive sweep, which --deep-sweep checks;
-# None is the command without --method
-DEEP_SWEEPS = {"cdindex": ("sweep",), "toric": ("sweep",), "verify": (None,)}
+def _deep_routes() -> str:
+    """verify and every route of verify.ROUTES that runs the recursive sweep."""
+    deep = (f"{q} --method {m}" for q, rs in verify.ROUTES.items() for m, r in rs.items()
+            if r.deep)
+    return ", ".join(["verify", *deep])
 
 
 # a value such as -3,4 is read by argparse as an option, not a number
@@ -407,19 +352,18 @@ def main(argv=None) -> int:
     try:
         if args.max_dim < 0:
             raise InputError(f"--max-dim must be at least 0, not {args.max_dim}")
-        if args.method is not None:
-            allowed = VALID_METHODS.get(args.command)
-            if allowed is None:
-                raise InputError(f"{args.command} takes no --method")
-            if args.method not in allowed:
-                raise InputError(
-                    f"{args.command} method must be one of {', '.join(allowed)}"
-                )
-        if args.deep_sweep and args.method not in DEEP_SWEEPS.get(args.command, ()):
-            route = args.command + (f" --method {args.method}" if args.method else "")
+        routes = verify.ROUTES.get(args.command, {})
+        named = args.command + (f" --method {args.method}" if args.method else "")
+        if args.method is not None and args.method not in routes:
             raise InputError(
-                f"{route} does no recursive sweep; --deep-sweep applies to verify "
-                "and to cdindex and toric with --method sweep"
+                f"{args.command} method must be one of {', '.join(routes)}"
+                if routes else f"{args.command} takes no --method"
+            )
+        args.method = args.method or next(iter(routes), None)
+        deep = routes[args.method].deep if routes else args.command == "verify"
+        if args.deep_sweep and not deep:
+            raise InputError(
+                f"{named} does no recursive sweep; --deep-sweep applies to {_deep_routes()}"
             )
         vrep = parse_input(args.input)
         if args.direction is not None:

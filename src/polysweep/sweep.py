@@ -427,14 +427,17 @@ def sweep_recursive(
     the recursive per-vertex parts of the vertex figure, summed over its
     sub-vertices above height(v), in closed form below dimension 5
     unless deep=True; the last vertex swept contributes zero.  The
-    section's value is computed directly on the lattice
-    ``_section_lattice``; with deep=True the figure and the section are
-    also cut and swept, and the section's two values must agree.
+    section's value is computed on ``_section_lattice``.  With deep=True
+    the figure and the section are cut and swept instead, and the total
+    must be ``alg.value(lat)``, which checks each section's sweep too.
     """
     if lat.dim == 0:
         return {0: alg.one}, alg.one
     per = _sweep_parts(alg, lat, s, range(lat.n_vertices), deep)
-    return per, reduce(alg.add, per.values(), alg.zero(lat.dim))
+    total = reduce(alg.add, per.values(), alg.zero(lat.dim))
+    if deep and total != alg.value(lat):
+        raise CrossCheckError(f"deep sweep total {total} is not the direct value {alg.value(lat)}")
+    return per, total
 
 
 def _sweep_parts(
@@ -444,8 +447,8 @@ def _sweep_parts(
     dimension 5 the default sweep takes the figure's parts above v in
     closed form (``_figure_sum``) and cuts no figure; above, it cuts the
     figure and sweeps its sub-vertices above v, those on the edges at v
-    going up.  With deep=True every figure is cut and all of its
-    sub-vertices are swept, to check every section."""
+    going up.  With deep=True every figure and section is cut and all of
+    their sub-vertices are swept."""
     d = lat.dim
     if d == 0:
         return {0: alg.one}
@@ -466,15 +469,11 @@ def _sweep_parts(
                 term = alg.add(term, alg.c(sub_per[j]))
         r = _section_lattice(lat, s, vi)
         if r is not None:
-            val_r = alg.value(r[0])
-            if deep:
+            if deep:  # the section's sweep checks itself against its value
                 rv = sweep_section(lat, s, vi)
-                _, swept = sweep_recursive(alg, rv.lattice, rv.direction, True)
-                if swept != val_r:
-                    raise CrossCheckError(
-                        f"section value mismatch at vertex {vi}: "
-                        f"sweep {swept} vs direct {val_r}"
-                    )
+                val_r = sweep_recursive(alg, rv.lattice, rv.direction, True)[1]
+            else:
+                val_r = alg.value(r[0])
             term = alg.add(term, alg.d(val_r))
         per[vi] = term
     return per

@@ -1,13 +1,72 @@
-"""Every cross-route invariant on one polytope.  Calls into other
+"""The routes to each quantity, and every cross-route invariant on one
+polytope.  ``ROUTES`` maps a quantity to its methods, the first the
+default; the CLI's --method and --deep-sweep read it.  Calls into other
 modules go through the module (``sweep.cd_sweep``), so that a wrapper
 installed on a module attribute, such as a tracer's, sees them."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from math import comb
 
 from . import flagvec, polytope, sweep, toric, truncpartition
+from .errors import CrossCheckError
 from .polytope import FaceLattice
+
+
+@dataclass(frozen=True)
+class Route:
+    """run(lat, direction, deep) returns (value, per-vertex parts,
+    direction swept), the last two None for a route that does not sweep;
+    deep marks a route running the recursive sweep, and polar one that
+    sweeps the polar dual, as a sweep accumulates the dual's value."""
+
+    run: Callable
+    deep: bool = False
+    polar: bool = False
+
+
+def _sweeping(sweeper: Callable, deep: bool = False, polar: bool = False) -> Route:
+    """The route sweeping lat, or its polar dual, with sweeper(lat, s),
+    and sweeper(lat, s, deep) if it is deep; s is the direction given, or
+    the ladder's."""
+
+    def run(lat: FaceLattice, direction, deep_: bool) -> tuple:
+        swept = polytope.polar_lattice(lat) if polar else lat
+        s = sweep.choose_direction(direction, swept.coords)
+        per, total = sweeper(swept, s, deep_) if deep else sweeper(swept, s)
+        return total, per, s
+
+    return Route(run, deep, polar)
+
+
+ROUTES = {
+    "cdindex": {
+        "flag": Route(lambda lat, p, deep: (flagvec.cd_index(lat), None, None)),
+        "sweep": _sweeping(lambda *a: sweep.cd_sweep(*a), deep=True),
+        "symmetric": _sweeping(lambda *a: sweep.cd_sweep_symmetric(*a)),
+    },
+    "toric": {
+        "def": Route(lambda lat, p, deep: (toric.toric_h_definition(lat), None, None)),
+        "cd": Route(
+            lambda lat, p, deep: (toric.toric_from_cd(flagvec.cd_index(lat)), None, None)
+        ),
+        "sweep": _sweeping(lambda *a: toric.toric_sweep(*a), deep=True, polar=True),
+        "symmetric": _sweeping(lambda *a: toric.toric_sweep_symmetric(*a), polar=True),
+    },
+}
+
+
+def extended(lat: FaceLattice) -> tuple[dict, flagvec.CDPolynomial]:
+    """The extended toric h-vector of lat and the cd-index rebuilt from
+    it; raises CrossCheckError unless the rebuilt cd-index is lat's."""
+    phi = flagvec.cd_index(lat)
+    ext = toric.extended_toric(phi, degree=lat.dim)
+    rebuilt = toric.reconstruct_cd(ext, lat.dim)
+    if rebuilt != phi:
+        raise CrossCheckError(f"extended toric reconstruction mismatch: {rebuilt} vs {phi}")
+    return ext, rebuilt
 
 
 def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> list:
@@ -32,7 +91,7 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
     )
 
     s1 = sweep.choose_direction(direction, lat.coords)
-    s2 = _second_direction(lat, s1)
+    s2 = sweep.choose_direction(tuple(-x for x in s1.p), lat.coords)  # always generic
     for tag, s in (("primary", s1), ("alternate", s2)):
         per, total = sweep.cd_sweep(lat, s, deep=deep)
         checks.append((f"sweep total equals flag route ({tag})", total == phi))
@@ -54,8 +113,9 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
              all(p.is_nonnegative() and (2 * p).is_integral() for p in per_s.values()))
         )
 
-    h_def = toric.toric_h_definition(lat)
-    h_cd = toric.toric_from_cd(phi, degree=d)
+    toric_routes = ROUTES["toric"]
+    h_def = toric_routes["def"].run(lat, None, deep)[0]
+    h_cd = toric_routes["cd"].run(lat, None, deep)[0]
     checks.append(("toric definition equals cd route", h_def == h_cd))
     _, h_dualsweep = toric.toric_sweep(lat, s1, deep=deep)
     checks.append(
@@ -65,9 +125,7 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
     _, h_dualsym = toric.toric_sweep_symmetric(lat, s1)
     checks.append(("toric symmetric sweep equals toric sweep", h_dualsym == h_dualsweep))
     if d >= 1:
-        polar = polytope.polar_lattice(lat)
-        sp = sweep.choose_direction(None, polar.coords)
-        _, via_polar = toric.toric_sweep(polar, sp, deep=deep)
+        via_polar = toric_routes["sweep"].run(lat, None, deep)[0]
         checks.append(("toric via polar sweep equals definition", via_polar == h_def))
     checks.append(("toric h symmetric", toric.is_symmetric(h_def)))
     checks.append(("toric h starts at 1", h_def[0] == 1))
@@ -101,11 +159,6 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
              sum(len(b) for b in blocks.values()) == nonempty)
         )
     return checks
-
-
-def _second_direction(lat: FaceLattice, s1):
-    """The reversed sweep: always generic; a different ordering for d >= 1."""
-    return sweep.choose_direction(tuple(-x for x in s1.p), lat.coords)
 
 
 def _h_from_f(lat: FaceLattice) -> tuple:

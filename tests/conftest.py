@@ -1,6 +1,7 @@
 """Shared helpers: cached lattices for the named corpus polytopes, and
 oracles that the package itself does not need."""
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -11,6 +12,15 @@ from polysweep.cli import parse_input
 from polysweep.exactnum import exact, vsub
 from polysweep.polytope import bits
 from polysweep.sweep import support_normal
+
+
+def wrong_on_dimension(alg, dim: int):
+    """The sweep algebra alg, its direct value doubled on lattices of
+    dimension dim: a mutant that every deep sweep must catch."""
+    real = alg.value
+    return dataclasses.replace(
+        alg, value=lambda lat: alg.scale(2, real(lat)) if lat.dim == dim else real(lat)
+    )
 
 
 def vec(*entries) -> tuple:

@@ -13,10 +13,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polysweep
-from conftest import vec, vrep_to_json
-from polysweep.cli import main, parse_input
+import polysweep.sweep as sweep_mod
+import polysweep.toric as toric_mod
+from conftest import vec, vrep_to_json, wrong_on_dimension
+from polysweep import verify
+from polysweep.cli import COMMANDS, main, parse_input
 from polysweep.errors import InputError
 from polysweep.exactnum import MAX_NUMERAL_DIGITS
+from polysweep.flagvec import CDPolynomial, cd_index
 
 
 def run(capsys, *argv):
@@ -55,17 +59,84 @@ def test_cdindex_sweep_pentagon(capsys):
     assert obj["per_vertex"][-1]["cd"] == {}
 
 
+def every_method_gives(capsys, command, key, cases):
+    """Every method of verify.ROUTES[command] prints the expected value."""
+    for spec, expected in cases:
+        for method in verify.ROUTES[command]:
+            code, obj = run_json(capsys, command, "--input", spec, "--method", method)
+            assert (code, obj[key]) == (0, expected), (spec, method)
+
+
 def test_toric_methods_agree(capsys):
     # the polar of a point, which the sweep methods sweep, is the point
-    for spec, expected in (("cube:3", [1, 5, 5, 1]), ("point", [1])):
-        results = []
-        for method in ("def", "cd", "sweep", "symmetric"):
-            code, obj = run_json(
-                capsys, "toric", "--input", spec, "--method", method
-            )
-            assert code == 0
-            results.append(obj["toric"])
-        assert all(r == expected for r in results), spec
+    every_method_gives(capsys, "toric", "toric", [("cube:3", [1, 5, 5, 1]), ("point", [1])])
+
+
+def test_cdindex_methods_agree(capsys):
+    cases = [("cube:3", {"ccc": 1, "cd": 4, "dc": 6}), ("point", {"1": 1})]
+    every_method_gives(capsys, "cdindex", "cd", cases)
+
+
+def test_a_row_of_the_route_table_is_a_method(capsys, monkeypatch):
+    # --method, its error and --deep-sweep read the table, nothing else
+    got = []
+
+    def doubled(lat, direction, deep):
+        got.append(deep)
+        return cd_index(lat) * 2, None, None
+
+    monkeypatch.setitem(verify.ROUTES["cdindex"], "doubled", verify.Route(doubled, deep=True))
+    code, obj = run_json(
+        capsys, "cdindex", "--input", "polygon:5", "--method", "doubled", "--deep-sweep"
+    )
+    assert (code, obj["method"], obj["cd"], got) == (0, "doubled", {"cc": 2, "d": 6}, [True])
+    assert "per_vertex" not in obj and "swept" not in obj
+    assert main(["cdindex", "--input", "polygon:5", "--method", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cdindex method must be one of flag, sweep, symmetric, doubled\n"
+    )
+    assert main(["toric", "--input", "polygon:5", "--deep-sweep"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "--deep-sweep applies to verify, cdindex --method sweep, "
+        "cdindex --method doubled, toric --method sweep\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_deep_sweep_is_accepted_exactly_on_the_deep_routes(capsys, command):
+    routes = verify.ROUTES.get(command, {})
+    # without --method a command runs its first route
+    cases = [([], next(iter(routes.values())).deep if routes else command == "verify")]
+    cases += [(["--method", method], route.deep) for method, route in routes.items()]
+    for extra, deep in cases:
+        code = main([command, *extra, "--input", "polygon:5", "--deep-sweep"])
+        capsys.readouterr()
+        assert code == (0 if deep else 2), extra
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["cdindex", "--method", "sweep", "--deep-sweep"], sweep_mod, "CD_ALGEBRA"),
+    (["toric", "--method", "sweep", "--deep-sweep"], toric_mod, "TORIC_ALGEBRA"),
+])
+def test_deep_sweep_against_a_wrong_value_exits_3(capsys, monkeypatch, argv, module, name):
+    monkeypatch.setattr(module, name, wrong_on_dimension(getattr(module, name), 3))
+    assert main([*argv, "--input", "cube:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cross-check failure: deep sweep total ")
+
+
+def test_extended_with_a_wrong_reconstruction_exits_3(capsys, monkeypatch):
+    real = toric_mod.reconstruct_cd
+    monkeypatch.setattr(
+        toric_mod, "reconstruct_cd", lambda ext, d: real(ext, d) + CDPolynomial.word("c" * d)
+    )
+    assert main(["extended", "--input", "cross:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "cross-check failure: extended toric reconstruction mismatch: "
+    )
 
 
 def test_extended(capsys):
@@ -236,7 +307,7 @@ def test_deep_sweep_without_a_recursive_sweep_exits_2(capsys, argv, route):
     assert captured.out == ""
     assert captured.err == (
         f"error: {route} does no recursive sweep; --deep-sweep applies to "
-        "verify and to cdindex and toric with --method sweep\n"
+        "verify, cdindex --method sweep, toric --method sweep\n"
     )
 
 

@@ -86,3 +86,25 @@ def test_every_public_name_is_used_in_the_package():
                     refs[node.name] -= referenced_names(node)[node.name]
     unused = sorted(f"{where} {name}" for name, where in defined.items() if refs[name] <= 0)
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def test_the_cli_runs_no_route_and_checks_nothing_itself():
+    # a route is a row of verify.ROUTES, and the library checks it: the
+    # deep sweep its total, verify.extended the round trip; the CLI turns
+    # only a failed verify or partition report into a CrossCheckError
+    from polysweep import cli, verify
+
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    routes = {"cd_sweep", "cd_sweep_symmetric", "toric_sweep", "toric_sweep_symmetric",
+              "toric_h_definition", "toric_from_cd", "polar_lattice", "reconstruct_cd"}
+    assert not routes & set(referenced_names(tree))
+    raising = [
+        top.name for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CrossCheckError"
+    ]
+    assert raising == ["cmd_partition", "cmd_verify"]
+    # no method is spelled out, bar those that are also a command or a printed key
+    methods = {m for routes in verify.ROUTES.values() for m in routes}
+    methods -= {*cli.COMMANDS, *(key for key, _ in cli._PRINTED_AS.values())}
+    spelled = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert methods and not methods & spelled

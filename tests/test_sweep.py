@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 import polysweep as ps
 import polysweep.sweep as sweep_mod
+import polysweep.toric as toric_mod
 import polysweep.truncpartition as partition_mod
-from conftest import default_direction, eliminated_facets, ladder_slopes, lat
+from conftest import (
+    default_direction, eliminated_facets, ladder_slopes, lat, wrong_on_dimension,
+)
 from polysweep.cli import parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
@@ -886,6 +889,21 @@ def test_verify_passes_deep_to_every_recursive_sweep(monkeypatch, deep):
     checks = run_verification(lat("cube:3"), None, 4, deep)
     assert all(passed for _, passed in checks)
     assert sorted(got) == [("cd_sweep", deep)] * 2 + [("toric_sweep", deep)] * 2
+
+
+@pytest.mark.parametrize("alg", [sweep_mod.CD_ALGEBRA, toric_mod.TORIC_ALGEBRA],
+                         ids=["cd", "toric"])
+@pytest.mark.parametrize("dim", [3, 1])
+def test_deep_sweep_checks_its_total_and_every_section(alg, dim):
+    """A deep sweep raises when its total is not the direct value, and as
+    a section's value is its own deep sweep, when a section's is not:
+    dimension 3 is cube:3 itself, dimension 1 its sections."""
+    wrong = wrong_on_dimension(alg, dim)
+    l, s = lat("cube:3"), default_direction("cube:3")
+    assert sweep_mod.sweep_recursive(alg, l, s, deep=True) == sweep_mod.sweep_recursive(alg, l, s)
+    sweep_mod.sweep_recursive(wrong, l, s)  # the default sweep checks nothing
+    with pytest.raises(CrossCheckError, match="^deep sweep total "):
+        sweep_mod.sweep_recursive(wrong, l, s, deep=True)
 
 
 def test_toric_sweep_reports_every_vertex():
