@@ -21,13 +21,11 @@ the latter.
 
 The recursive sweep needs at v the sum of the figure's parts over its
 sub-vertices above v.  By Stanley's S-shelling that sum depends only on
-which sub-vertices lie above v, and for figures of dimension <= 3 it has
-a closed form in counts at v (``_figure_sum``).  So the default sweep
-cuts figures only above dimension 4: none on 3- and 4-polytopes, and on
-a 5-polytope those of the top level alone.  The deep sweep cuts and
-sweeps every figure and section, which checks the closed forms; the
-partition cuts the figures and sections whose blocks it reads; the
-symmetric sweeps cut nothing.
+which sub-vertices lie above v: it is the cd-index of the figure's
+chains owned above v, which ``_upper_sum`` counts at v off the order.
+So the default sweeps cut nothing, in any dimension.  The deep sweep
+cuts and sweeps every figure and section, which checks that rule; the
+partition cuts the figures and sections whose blocks it reads.
 
 A figure carries exact integer coordinates so that what cuts it can
 sweep it, and so does a section where the deep sweep or the partition
@@ -55,9 +53,7 @@ normal is the first on a ladder that makes these distinct.
 
 The star is kept per vertex and placed once per support normal, and a
 section's lattice per vertex and split of the edges at v.  s and -s
-negate every slope and share all three: on a 5-polytope the reverse
-sweep in ``verify`` cuts only the figure at the forward sweep's last
-vertex.
+negate every slope and share all three.
 """
 
 from __future__ import annotations
@@ -67,12 +63,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from operator import add
 
-from .errors import CrossCheckError, InputError, NotGeneric, NotSimple
+from .errors import CrossCheckError, InputError, NotCDExpressible, NotGeneric, NotSimple
 from .exactnum import (
     QVector, affine_rank, dot, exact, integer_multiple, primitive, vscale, vsub,
 )
-from .flagvec import CDPolynomial, cd_index
+from .flagvec import CDPolynomial, FlagVector, cd_from_ab, cd_index, flag_h
 from .polytope import (
     FaceLattice,
     VRep,
@@ -424,49 +421,29 @@ def sweep_recursive(
     """Per-vertex contributions of every vertex, and their sum.
 
     The contribution at v is d times the section's value plus c times
-    the recursive per-vertex parts of the vertex figure, summed over its
-    sub-vertices above height(v), in closed form below dimension 5
-    unless deep=True; the last vertex swept contributes zero.  The
-    section's value is computed on ``_section_lattice``.  With deep=True
-    the figure and the section are cut and swept instead, and the total
-    must be ``alg.value(lat)``, which checks each section's sweep too.
+    the sum of the vertex figure's parts over its sub-vertices above v,
+    which ``_upper_sum`` reads off the order; the last vertex swept
+    contributes zero.  The section's value is computed on
+    ``_section_lattice``.  With deep=True the figure and the section are
+    cut and swept instead, and the total must be ``alg.value(lat)``, which
+    checks each figure's and each section's sweep too.
     """
-    if lat.dim == 0:
-        return {0: alg.one}, alg.one
-    per = _sweep_parts(alg, lat, s, range(lat.n_vertices), deep)
-    total = reduce(alg.add, per.values(), alg.zero(lat.dim))
-    if deep and total != alg.value(lat):
-        raise CrossCheckError(f"deep sweep total {total} is not the direct value {alg.value(lat)}")
-    return per, total
-
-
-def _sweep_parts(
-    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, wanted, deep: bool
-) -> dict:
-    """The per-vertex parts of the vertices in wanted only.  Below
-    dimension 5 the default sweep takes the figure's parts above v in
-    closed form (``_figure_sum``) and cuts no figure; above, it cuts the
-    figure and sweeps its sub-vertices above v, those on the edges at v
-    going up.  With deep=True every figure and section is cut and all of
-    their sub-vertices are swept."""
     d = lat.dim
     if d == 0:
-        return {0: alg.one}
+        return {0: alg.one}, alg.one
     per = {}
-    for vi in wanted:
-        term = alg.zero(d)
-        _, down, up = _up_down(lat, s, vi)
+    for vi in range(lat.n_vertices):
+        up, _, above = _up_down(lat, s, vi)
         if not up:  # the last vertex swept
-            per[vi] = term
+            per[vi] = alg.zero(d)
             continue
-        if d <= 4 and not deep:
-            term = alg.c(_figure_sum(alg, lat, vi, len(up), down))
-        else:
+        if deep:
             qv = vertex_figure(lat, s, vi)
-            swept = range(qv.lattice.n_vertices) if deep else up
-            sub_per = _sweep_parts(alg, qv.lattice, qv.direction, swept, deep)
-            for j in up:
-                term = alg.add(term, alg.c(sub_per[j]))
+            parts = sweep_recursive(alg, qv.lattice, qv.direction, True)[0]
+            upper = reduce(alg.add, (parts[j] for j in above), alg.zero(d - 1))
+        else:
+            upper = _evaluate(alg, _upper_sum(lat, vi, up), d - 1)
+        term = alg.c(upper)
         r = _section_lattice(lat, s, vi)
         if r is not None:
             if deep:  # the section's sweep checks itself against its value
@@ -476,36 +453,59 @@ def _sweep_parts(
                 val_r = alg.value(r[0])
             term = alg.add(term, alg.d(val_r))
         per[vi] = term
-    return per
+    total = reduce(alg.add, per.values(), alg.zero(d))
+    if deep and total != alg.value(lat):
+        raise CrossCheckError(f"deep sweep total {total} is not the direct value {alg.value(lat)}")
+    return per, total
 
 
-def _figure_sum(alg: SweepAlgebra, lat: FaceLattice, vi: int, u: int, down: int):
-    """The sum of the vertex figure's parts over its u sub-vertices above
-    v, for lat of dimension 1 to 4, from counts at v alone (Stanley's
-    S-shelling: it depends only on which sub-vertices lie above v).
-    down is the mask of the edges at v going down.
+@memoized
+def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
+    """The sum of the vertex figure's parts over its sub-vertices above
+    v, those on the edges at v in the mask up, read off lat's order: by
+    Stanley's S-shelling, the cd-index of the chains of faces strictly
+    between {v} and P owned above v in the partition of the figure's
+    truncation.  The empty chain, and a chain whose least face G is no
+    edge, count when every edge at v of P, or of G, goes up.  Of the
+    chains whose least face is an edge and next face F (P if none), one
+    per edge of F at v, n_F - 1 count when F holds an up- and a down-edge
+    at v and n_F otherwise, n_F its up-edges at v.  Counts that are no
+    cd-index are a fault of the engine, and raise CrossCheckError."""
+    v = lat.index[1 << vi]
+    down = lat.up[v] & lat.level[1] & ~up
+    top = len(lat.masks) - 1
+    # the faces at v that can top a chain, those of dimension >= 2 and P
+    tall = lat.up[v] & ~(lat.level[0] | lat.level[1]) | 1 << top
+    # counted[i][m]: the counted chains topped by face i, the figure's
+    # ranks of their other faces the mask m
+    counted = {}
+    for i in bits(tall):
+        rank = lat.dims[i] - 1  # in the figure
+        rises = int(not lat.down[i] & down)
+        chains = [rises] + [0] * ((1 << rank) - 1)
+        if rank:
+            n = (lat.down[i] & up).bit_count()
+            chains[1] = n - 1 if n and not rises else n
+        for j in bits(lat.down[i] & tall & ~(1 << i)):
+            low = 1 << (lat.dims[j] - 1)  # face j's rank in the figure, as a mask
+            chains[low : 2 * low] = map(add, chains[low : 2 * low], counted[j])
+        counted[i] = chains
+    f = FlagVector(lat.dim - 1, tuple(counted[top]))
+    try:
+        return cd_from_ab(flag_h(f))
+    except NotCDExpressible as e:
+        raise CrossCheckError(f"the chains owned above vertex {vi} have no cd-index: {e}") from None
 
-    On a segment the lower end's part is c and the upper end's 0; on a
-    polygon the bottom's is c^2, each middle vertex's d and the top's 0.
-    Above v in a 3-polytope figure every sub-vertex but the bottom has
-    an edge going down, and their up-degrees sum to e, the number of
-    2-faces at v whose two edges at v both go up."""
-    one, c, d, times = alg.one, alg.c, alg.d, alg.scale
-    m = u - 1
-    if lat.dim == 1:
-        return one
-    if lat.dim == 2:
-        return alg.zero(1) if down else c(one)
-    if lat.dim == 3:
-        if down:
-            return times(m, d(one))
-        return alg.add(c(c(one)), times(m - 1, d(one)))
-    e = sum(1 for f in lat.faces_at_vertex(vi, 2) if not lat.down[f] & down)
-    if down:
-        return alg.add(c(times(e - m, d(one))), times(m, d(c(one))))
-    return alg.add(
-        c(alg.add(c(c(one)), times(e - m - 1, d(one)))), times(m - 1, d(c(one)))
-    )
+
+def _evaluate(alg: SweepAlgebra, phi: CDPolynomial, degree: int):
+    """phi in alg: each word applies its letters to alg.one, last first."""
+    total = alg.zero(degree)
+    for w, n in phi.terms.items():
+        x = alg.one
+        for letter in reversed(w):
+            x = alg.c(x) if letter == "c" else alg.d(x)
+        total = alg.add(total, alg.scale(n, x))
+    return total
 
 
 def sweep_symmetric(

@@ -131,15 +131,12 @@ def run_verification(lat: FaceLattice, direction, max_dim: int, deep: bool) -> l
     checks.append(("toric h starts at 1", h_def[0] == 1))
     checks.append(("toric h unimodal", toric.is_unimodal(h_def)))
 
-    ext = toric.extended_toric(phi, degree=d)
+    ext, rebuilt = extended(lat)  # raises unless rebuilt is phi
     checks.append(
         ("extended vectors symmetric and nonnegative",
          all(toric.is_symmetric(v) and all(x >= 0 for x in v) for v in ext.values()))
     )
-    checks.append(
-        ("extended toric reconstructs the cd-index",
-         toric.reconstruct_cd(ext, d) == phi)
-    )
+    checks.append(("extended toric reconstructs the cd-index", rebuilt == phi))
 
     if 1 <= d <= max_dim:
         blocks, _, report = truncpartition.checked_partition(lat, s1)

@@ -20,7 +20,7 @@ from polysweep import verify
 from polysweep.cli import COMMANDS, main, parse_input
 from polysweep.errors import InputError
 from polysweep.exactnum import MAX_NUMERAL_DIGITS
-from polysweep.flagvec import CDPolynomial, cd_index
+from polysweep.flagvec import CDPolynomial, FlagVector, cd_index
 
 
 def run(capsys, *argv):
@@ -136,6 +136,37 @@ def test_extended_with_a_wrong_reconstruction_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith(
         "cross-check failure: extended toric reconstruction mismatch: "
+    )
+
+
+def test_verify_with_a_wrong_reconstruction_exits_3(capsys, monkeypatch):
+    # verify reads the round trip off verify.extended, which raises
+    real = toric_mod.reconstruct_cd
+    monkeypatch.setattr(
+        toric_mod, "reconstruct_cd", lambda ext, d: real(ext, d) + CDPolynomial.word("c" * d)
+    )
+    assert main(["verify", "--input", "cross:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "cross-check failure: extended toric reconstruction mismatch: "
+    )
+
+
+def test_upper_parts_that_are_no_cd_index_exit_3(capsys, monkeypatch):
+    # counts with no cd-index are a fault of the engine, not of the input
+    real = sweep_mod.flag_h
+
+    def off_by_one(f):
+        h = real(f)
+        return FlagVector(h.d, h.values[:-1] + (h.values[-1] + 1,))
+
+    monkeypatch.setattr(sweep_mod, "flag_h", off_by_one)
+    assert main(["cdindex", "--method", "sweep", "--input", "cube:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "cross-check failure: the chains owned above vertex 0 have no cd-index: "
     )
 
 

@@ -24,6 +24,7 @@ import pytest
 
 import polysweep.cli as cli
 import polysweep.polytope as polytope
+from cli_compare import DIRECTIONS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
 
@@ -41,9 +42,6 @@ SPECS = {
     "cube:4": 4, "cross:4": 4, "pyramid:cube:3": 4, "prism:cross:3": 4,
 }
 
-# one direction per dimension, generic for every spec above
-DIRECTIONS = {1: "-3", 2: "-3,7/2", 3: "-3,7/2,11/5", 4: "-3,7/2,11/5,13/7"}
-
 COMMANDS = (
     ("cdindex", "--method", "sweep"),
     ("cdindex", "--method", "symmetric"),
@@ -60,8 +58,10 @@ COMMANDS = (
 DEEP = ("verify", "--deep-sweep")
 
 # partition and verify above the default --max-dim, on two 5-polytopes,
-# where the partition recurses two levels deeper than at d = 4
+# where the partition recurses two levels deeper than at d = 4; on them
+# too the recursive cd and toric sweeps, by default and deep
 MAX_DIM_5 = ("simplex:5", "pyramid:cross:4")
+SWEEPS_5 = tuple(cmd for cmd in COMMANDS if "sweep" in cmd)
 
 
 def invocations() -> list:
@@ -77,6 +77,8 @@ def invocations() -> list:
     for spec in MAX_DIM_5:
         for cmd in ("partition", "verify"):
             out.append((cmd, "--max-dim", "5", "--input", spec))
+        for cmd in SWEEPS_5:
+            out.append((*cmd, "--input", spec))
     return out
 
 

@@ -15,7 +15,7 @@ from conftest import (
 from polysweep.cli import parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
-from test_cli_corpus import DIRECTIONS as CORPUS_DIRECTIONS
+from cli_compare import DIRECTIONS as CORPUS_DIRECTIONS
 from test_cli_corpus import SPECS as CORPUS_SPECS
 from polysweep.exactnum import matrix_rank, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
@@ -374,9 +374,9 @@ def test_deep_sweep_cross_validates():
 
 
 def test_routes_get_the_same_figures_and_sections(monkeypatch):
-    """Below dimension 5 the cd sweep and the toric sweep get no vertex
-    figure and no section: they take the figure's parts in closed form
-    and read section values off the lattice.  The partition gets each
+    """The cd sweep and the toric sweep get no vertex figure and no
+    section: they read the figure's upper parts and the section values
+    off the lattice.  The partition gets each
     figure it reads as the one object first built, and cuts each section
     once."""
     l = ps.hull_lattice(parse_input("pyramid:polygon:4"))
@@ -612,48 +612,15 @@ def test_figures_and_sections_hold_no_fractions(spec):
         assert check_integer_directions(l, ps.choose_direction(p, l.coords))
 
 
-def test_the_reverse_sweep_in_verify_cuts_only_the_figure_no_forward_route_reads(
-    monkeypatch,
-):
-    """verify's reverse cd sweep of a 5-polytope reuses the figure cuts of
-    the forward sweep: of the input lattice it cuts only the figure at
-    the forward sweep's last vertex, which the forward routes never read,
-    and the symmetric sweeps cut nothing.  Below dimension 5 the sweeps
-    cut no figure at all (``test_no_sweep_cuts_a_section_unless_deep``)."""
-    l = ps.hull_lattice(parse_input("simplex:5"))
-    directions, placed = [], []
-    real_sweep, real_place = sweep_mod.cd_sweep, sweep_mod._place
-
-    def cd_sweep(lat_, s, deep=False):
-        directions.append(s)
-        return real_sweep(lat_, s, deep)
-
-    def counted(lat_, sub, in_lat, *args):
-        if lat_ is l:
-            placed.append((len(directions), in_lat[0]))
-        return real_place(lat_, sub, in_lat, *args)
-
-    monkeypatch.setattr(sweep_mod, "cd_sweep", cd_sweep)
-    monkeypatch.setattr(sweep_mod, "_place", counted)
-    checks = run_verification(l, None, 4, False)
-    assert all(passed for _, passed in checks)
-    forward, reverse = directions
-    assert reverse.p == tuple(-x for x in forward.p)
-    # a figure cut's empty face is cut from {v}; the forward sweep (1)
-    # cuts one per vertex but its last, the reverse sweep (2) only that one
-    last = max(range(l.n_vertices), key=lambda i: forward.heights[i])
-    cuts = {n: [face for m, face in placed if m == n] for n in (1, 2)}
-    assert sorted(cuts[1]) == sorted(l.index[1 << vi] for vi in range(l.n_vertices) if vi != last)
-    assert cuts[2] == [l.index[1 << last]]
-
-
 @pytest.mark.parametrize("spec", ["polygon:5", "cube:3", "pyramid:polygon:4", "cube:4",
-                                  "pyramid:cube:3", "prism:cross:3"])
+                                  "pyramid:cube:3", "prism:cross:3", "simplex:5", "cross:5",
+                                  "pyramid:cross:4"])
 def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     """Without deep=True no sweep calls ``sweep_section``: every section
-    value is read off the lattice.  Below dimension 5 no sweep calls
-    ``vertex_figure`` or ``support_normal`` either: the recursive sweeps
-    take the figure's parts in closed form.  The deep sweep cuts both."""
+    value is read off the lattice.  In no dimension does it call
+    ``vertex_figure``, ``support_normal`` or ``_place`` either: the
+    recursive sweeps read the figure's upper parts off the lattice
+    (``_upper_sum``).  The deep sweep cuts both."""
     calls = []
 
     def spy(name, fn):
@@ -662,7 +629,7 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
             return fn(*args)
         return wrapper
 
-    for name in ("sweep_section", "vertex_figure", "support_normal"):
+    for name in ("sweep_section", "vertex_figure", "support_normal", "_place"):
         monkeypatch.setattr(sweep_mod, name, spy(name, getattr(sweep_mod, name)))
     # each sweep gets a lattice with an empty memo
     l1, l2, l3 = (ps.hull_lattice(parse_input(spec)) for _ in range(3))
@@ -674,7 +641,7 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     ps.toric_sweep(l2, s)
     assert calls == []
     ps.cd_sweep(l3, s, deep=True)
-    assert {"vertex_figure", "support_normal"} <= set(calls)
+    assert {"vertex_figure", "support_normal", "_place"} <= set(calls)
     assert ("sweep_section" in calls) == (l3.dim >= 2)
 
 
@@ -804,10 +771,9 @@ def sweep_counting_builds(monkeypatch, spec, deep):
 
 
 def test_sweep_builds_only_the_figures_it_reads(monkeypatch):
-    # a 4-polytope's sweep cuts no figure; a 5-polytope's cuts its own
-    # at every vertex but the last and sweeps them in closed form (before
-    # the closed form cube:4 built 40, simplex:5 31 and cross:5 121)
-    for spec, builds in (("cube:4", 0), ("simplex:5", 5), ("cross:5", 9)):
+    # the sweep reads every figure's upper parts off the order and cuts
+    # none, in any dimension
+    for spec, builds in (("cube:4", 0), ("simplex:5", 0), ("cross:5", 0)):
         l, per, total, n = sweep_counting_builds(monkeypatch, spec, False)
         assert n == builds
         assert sorted(per) == list(range(l.n_vertices))
@@ -861,10 +827,23 @@ def swept_polytopes(draw):
 @settings(max_examples=60, deadline=None)
 @given(swept_polytopes())
 def test_closed_form_parts_equal_the_cut_figures_parts(case):
-    """Below dimension 5 the default sweep takes each figure's parts in
-    closed form, the deep sweep by cutting and sweeping the figure: the
+    """The default sweep reads each figure's upper parts off the order
+    (``_upper_sum``), the deep sweep cuts and sweeps the figure: the
     per-vertex parts agree, under s and -s, for both algebras."""
     l, s = case
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    for direction in (s, reverse):
+        for sweep in (cd_sweep, ps.toric_sweep):
+            assert sweep(l, direction) == sweep(l, direction, deep=True)
+
+
+@pytest.mark.parametrize("spec", ["simplex:6", "pyramid:simplex:5"])
+def test_upper_parts_equal_the_cut_figures_parts_in_dimension_6(spec):
+    """Past the random polytopes above, which stop at dimension 5: the
+    default and the deep sweep agree vertex by vertex on 6-polytopes,
+    for both algebras, under the ladder and its reverse."""
+    l = ps.hull_lattice(parse_input(spec))
+    s = ps.choose_direction(None, l.coords)
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
     for direction in (s, reverse):
         for sweep in (cd_sweep, ps.toric_sweep):
