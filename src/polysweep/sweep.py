@@ -1,5 +1,6 @@
 """Hyperplane sweeps: generic directions, vertex figures, sections, and
-the sweep recursion shared by the cd-index and toric h-vector routes.
+the cd-index sweep, whose per-vertex parts the toric h-vector routes
+read as vectors.
 
 A sweep orders the vertices by an exact linear functional.  At each
 vertex v the machinery builds
@@ -58,10 +59,8 @@ negate every slope and share all three.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from operator import add
 
@@ -395,67 +394,51 @@ def map_chain(sub: SubPolytope, chain: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The sweep recursion, written once over an algebra of accumulated values.
+# The sweep recursion over cd-polynomials; the toric routes read its parts.
+
+_C, _D = CDPolynomial.word("c"), CDPolynomial.word("d")
 
 
-@dataclass(frozen=True)
-class SweepAlgebra:
-    """The values a sweep accumulates (cd-words, or toric h-vectors under
-    the c/d operators) and the only operations the recursion uses.
-    Fields calling into another module are lambdas, so that a wrapper on
-    the module attribute, such as the benchmark's tracer, sees the call."""
+def cd_sweep(
+    lat: FaceLattice, s: SweepDirection, deep: bool = False
+) -> tuple[dict, CDPolynomial]:
+    """Per-vertex cd-index contributions of every vertex, and their sum.
 
-    zero: Callable  # dimension -> the zero value
-    one: object  # the value of a point
-    add: Callable
-    scale: Callable  # (rational, value) -> value
-    c: Callable  # attach the letter c
-    d: Callable  # attach the letter d
-    value: Callable  # FaceLattice -> its value, computed without sweeping
-    integral: Callable  # value -> bool
-
-
-def sweep_recursive(
-    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection, deep: bool = False
-) -> tuple[dict, object]:
-    """Per-vertex contributions of every vertex, and their sum.
-
-    The contribution at v is d times the section's value plus c times
+    The contribution at v is d times the section's cd-index plus c times
     the sum of the vertex figure's parts over its sub-vertices above v,
     which ``_upper_sum`` reads off the order; the last vertex swept
-    contributes zero.  The section's value is computed on
-    ``_section_lattice``.  With deep=True the figure and the section are
-    cut and swept instead, and the total must be ``alg.value(lat)``, which
-    checks each figure's and each section's sweep too.
+    contributes zero.  The section's cd-index comes from the flag route
+    on ``_section_lattice``.  With deep=True the figure and the section
+    are cut and swept instead, and the total must be ``cd_index(lat)``,
+    which checks each figure's and each section's sweep too.
     """
-    d = lat.dim
-    if d == 0:
-        return {0: alg.one}, alg.one
+    if lat.dim == 0:
+        return {0: CDPolynomial.one()}, CDPolynomial.one()
     per = {}
     for vi in range(lat.n_vertices):
         up, _, above = _up_down(lat, s, vi)
         if not up:  # the last vertex swept
-            per[vi] = alg.zero(d)
+            per[vi] = CDPolynomial.zero()
             continue
         if deep:
             qv = vertex_figure(lat, s, vi)
-            parts = sweep_recursive(alg, qv.lattice, qv.direction, True)[0]
-            upper = reduce(alg.add, (parts[j] for j in above), alg.zero(d - 1))
+            parts = cd_sweep(qv.lattice, qv.direction, True)[0]
+            upper = sum((parts[j] for j in above), CDPolynomial.zero())
         else:
-            upper = _evaluate(alg, _upper_sum(lat, vi, up), d - 1)
-        term = alg.c(upper)
+            upper = _upper_sum(lat, vi, up)
+        term = _C * upper
         r = _section_lattice(lat, s, vi)
         if r is not None:
-            if deep:  # the section's sweep checks itself against its value
+            if deep:  # the section's sweep checks itself against its cd-index
                 rv = sweep_section(lat, s, vi)
-                val_r = sweep_recursive(alg, rv.lattice, rv.direction, True)[1]
+                val_r = cd_sweep(rv.lattice, rv.direction, True)[1]
             else:
-                val_r = alg.value(r[0])
-            term = alg.add(term, alg.d(val_r))
+                val_r = cd_index(r[0])
+            term = term + _D * val_r
         per[vi] = term
-    total = reduce(alg.add, per.values(), alg.zero(d))
-    if deep and total != alg.value(lat):
-        raise CrossCheckError(f"deep sweep total {total} is not the direct value {alg.value(lat)}")
+    total = sum(per.values(), CDPolynomial.zero())
+    if deep and total != cd_index(lat):
+        raise CrossCheckError(f"deep sweep total {total} is not the direct value {cd_index(lat)}")
     return per, total
 
 
@@ -470,7 +453,10 @@ def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
     chains whose least face is an edge and next face F (P if none), one
     per edge of F at v, n_F - 1 count when F holds an up- and a down-edge
     at v and n_F otherwise, n_F its up-edges at v.  Counts that are no
-    cd-index are a fault of the engine, and raise CrossCheckError."""
+    cd-index are a fault of the engine, and raise CrossCheckError.
+    ``cd_sweep`` attaches c to this polynomial as it is; memoized per
+    vertex and set of up-edges, so the cd and toric sweeps of lat share
+    it."""
     v = lat.index[1 << vi]
     down = lat.up[v] & lat.level[1] & ~up
     top = len(lat.masks) - 1
@@ -497,71 +483,27 @@ def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
         raise CrossCheckError(f"the chains owned above vertex {vi} have no cd-index: {e}") from None
 
 
-def _evaluate(alg: SweepAlgebra, phi: CDPolynomial, degree: int):
-    """phi in alg: each word applies its letters to alg.one, last first."""
-    total = alg.zero(degree)
-    for w, n in phi.terms.items():
-        x = alg.one
-        for letter in reversed(w):
-            x = alg.c(x) if letter == "c" else alg.d(x)
-        total = alg.add(total, alg.scale(n, x))
-    return total
-
-
-def sweep_symmetric(
-    alg: SweepAlgebra, lat: FaceLattice, s: SweepDirection
-) -> tuple[dict, object]:
-    """Direction-averaged form: with Q the vertex figure and R the
-    section, each vertex contributes (c V(Q) + (2d - c^2) V(R)) / 2,
-    both values computed directly on lattices read off lat's order, so
-    no coordinate is read.  Per-vertex parts may be half-integral; the
-    total must be integral."""
-    d = lat.dim
-    if d == 0:
-        return {0: alg.one}, alg.one
-    per = {}
-    for vi in range(lat.n_vertices):
-        term = alg.c(alg.value(_star(lat, vi)[0]))
-        r = _section_lattice(lat, s, vi)
-        if r is not None:
-            val_r = alg.value(r[0])
-            term = alg.add(term, alg.scale(2, alg.d(val_r)))
-            term = alg.add(term, alg.scale(-1, alg.c(alg.c(val_r))))
-        per[vi] = alg.scale(Fraction(1, 2), term)
-    total = reduce(alg.add, per.values(), alg.zero(d))
-    if not alg.integral(total):
-        raise CrossCheckError(f"symmetric sweep total is not integral: {total}")
-    return per, total
-
-
-_C, _D = CDPolynomial.word("c"), CDPolynomial.word("d")
-
-CD_ALGEBRA = SweepAlgebra(
-    zero=lambda d: CDPolynomial.zero(),
-    one=CDPolynomial.one(),
-    add=lambda a, b: a + b,
-    scale=lambda q, phi: phi * q,
-    c=lambda phi: _C * phi,
-    d=lambda phi: _D * phi,
-    value=lambda lat: cd_index(lat),
-    integral=CDPolynomial.is_integral,
-)
-
-
-def cd_sweep(
-    lat: FaceLattice, s: SweepDirection, deep: bool = False
-) -> tuple[dict, CDPolynomial]:
-    """Per-vertex cd-index contributions and their sum, by the recursive
-    sweep; section cd-indices come from the flag route."""
-    return sweep_recursive(CD_ALGEBRA, lat, s, deep)
-
-
 def cd_sweep_symmetric(
     lat: FaceLattice, s: SweepDirection
 ) -> tuple[dict, CDPolynomial]:
-    """Per-vertex cd-index contributions and their sum, by the
-    direction-averaged sweep."""
-    return sweep_symmetric(CD_ALGEBRA, lat, s)
+    """Direction-averaged form: with Q the vertex figure and R the
+    section, each vertex contributes (c Phi(Q) + (2d - c^2) Phi(R)) / 2,
+    both cd-indices computed directly on lattices read off lat's order,
+    so no coordinate is read.  Per-vertex parts may be half-integral; the
+    total must be integral."""
+    if lat.dim == 0:
+        return {0: CDPolynomial.one()}, CDPolynomial.one()
+    per = {}
+    for vi in range(lat.n_vertices):
+        term = _C * cd_index(_star(lat, vi)[0])
+        r = _section_lattice(lat, s, vi)
+        if r is not None:
+            term = term + (_D * 2 + _C * _C * -1) * cd_index(r[0])
+        per[vi] = term * Fraction(1, 2)
+    total = sum(per.values(), CDPolynomial.zero())
+    if not total.is_integral():
+        raise CrossCheckError(f"symmetric sweep total is not integral: {total}")
+    return per, total
 
 
 # ---------------------------------------------------------------------------

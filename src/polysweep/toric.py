@@ -11,14 +11,14 @@ about final results only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
+from . import sweep
 from .errors import CrossCheckError, NotInImage
 from .exactnum import vadd, vscale, vsub
-from .flagvec import CDPolynomial, _norm_coeff, cd_index, cd_words, reverse_words
+from .flagvec import CDPolynomial, _norm_coeff, cd_words, reverse_words
 from .polytope import FaceLattice, bits
-from .sweep import SweepAlgebra, SweepDirection, sweep_recursive, sweep_symmetric
+from .sweep import SweepDirection
 
 
 def normalize_vec(h) -> tuple:
@@ -84,9 +84,11 @@ def toric_from_cd(phi: CDPolynomial, degree: int | None = None) -> tuple:
     return normalize_vec(total)
 
 
-def toric_dual_h(l: FaceLattice) -> tuple:
-    """Toric h-vector of the dual: reverse the cd-index, then act on (1)."""
-    return toric_from_cd(reverse_words(cd_index(l)), degree=l.dim)
+def toric_dual_h(phi: CDPolynomial, degree: int) -> tuple:
+    """Toric h-vector of the dual of a polytope with cd-index phi: reverse
+    the words, then act on (1).  Linear in phi, and it turns c phi into
+    op_c of phi's vector and d phi into op_d of it."""
+    return toric_from_cd(reverse_words(phi), degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +134,28 @@ def toric_h_definition(l: FaceLattice) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Sweep routes.  Sweeping P accumulates the toric h-vector of the dual
-# of P: the cd-index sweep with words replaced by the c/d operators.
-
-TORIC_ALGEBRA = SweepAlgebra(
-    zero=lambda d: zeros(d + 1),
-    one=(1,),
-    add=lambda a, b: normalize_vec(vadd(a, b)),
-    scale=lambda q, h: normalize_vec(vscale(q, h)),
-    c=lambda h: op_c(h),
-    d=lambda h: op_d(h),
-    value=lambda l: toric_dual_h(l),
-    integral=lambda h: not any(isinstance(x, Fraction) for x in h),
-)
+# of P: each cd-index part of the sweep, read by ``toric_dual_h``.  As
+# that reading is linear and carries the letters c and d to op_c and
+# op_d, every part equals what the operators would accumulate.
 
 
 def toric_sweep(
     lat: FaceLattice, s: SweepDirection, deep: bool = False
 ) -> tuple[dict, tuple]:
     """Per-vertex contributions to h(boundary of P dual) and their sum:
-    op_d of the section's dual h plus op_c of the recursive per-vertex
-    parts of the vertex figure over its upward sub-vertices; deep as
-    for ``sweep_recursive``."""
-    return sweep_recursive(TORIC_ALGEBRA, lat, s, deep)
+    the parts of ``sweep.cd_sweep``, each read as a vector; deep as for
+    it, so a deep sweep checks cd-indices."""
+    per, total = sweep.cd_sweep(lat, s, deep)
+    return {vi: toric_dual_h(phi, lat.dim) for vi, phi in per.items()}, toric_dual_h(total, lat.dim)
 
 
 def toric_sweep_symmetric(lat: FaceLattice, s: SweepDirection) -> tuple[dict, tuple]:
     """Direction-averaged form: each vertex contributes
-    (h(dQ*)c + h(dR*)(2d - c^2)) / 2.  Entries may be half-integral per
-    vertex; the total must be integral."""
-    return sweep_symmetric(TORIC_ALGEBRA, lat, s)
+    (h(dQ*)c + h(dR*)(2d - c^2)) / 2, the part of
+    ``sweep.cd_sweep_symmetric`` read as a vector.  Entries may be
+    half-integral per vertex; the total is integral."""
+    per, total = sweep.cd_sweep_symmetric(lat, s)
+    return {vi: toric_dual_h(phi, lat.dim) for vi, phi in per.items()}, toric_dual_h(total, lat.dim)
 
 
 # ---------------------------------------------------------------------------

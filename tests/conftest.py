@@ -1,12 +1,12 @@
 """Shared helpers: cached lattices for the named corpus polytopes, and
 oracles that the package itself does not need."""
 
-import dataclasses
 import functools
 import itertools
 from fractions import Fraction
 
 import polysweep as ps
+import polysweep.sweep as sweep_mod
 from fraction_rref import hyperplane_through
 from polysweep.cli import parse_input
 from polysweep.exactnum import exact, vsub
@@ -14,12 +14,13 @@ from polysweep.polytope import bits
 from polysweep.sweep import support_normal
 
 
-def wrong_on_dimension(alg, dim: int):
-    """The sweep algebra alg, its direct value doubled on lattices of
-    dimension dim: a mutant that every deep sweep must catch."""
-    real = alg.value
-    return dataclasses.replace(
-        alg, value=lambda lat: alg.scale(2, real(lat)) if lat.dim == dim else real(lat)
+def wrong_on_dimension(monkeypatch, dim: int):
+    """Make the sweeps' direct cd-index, ``sweep.cd_index``, double its
+    value on lattices of dimension dim: a mutant that every deep sweep,
+    the cd one and the toric one that reads it, must catch."""
+    real = sweep_mod.cd_index
+    monkeypatch.setattr(
+        sweep_mod, "cd_index", lambda lat: real(lat) * 2 if lat.dim == dim else real(lat)
     )
 
 

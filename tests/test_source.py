@@ -53,10 +53,30 @@ def test_no_fraction_in_the_cuts():
     # is the 1/2 of the direction-averaged sweep
     found = [(name, *call) for name in ("sweep.py", "truncpartition.py")
              for call in fraction_calls(SRC / name)]
-    assert found == [("sweep.py", "sweep_symmetric", "Fraction(1, 2)")]
+    assert found == [("sweep.py", "cd_sweep_symmetric", "Fraction(1, 2)")]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+ALGEBRAS = ("ALGEBRA", "SweepAlgebra")
+
+
+def test_one_sweep_engine_over_cd_polynomials():
+    # the toric sweeps read the cd sweep's parts as vectors, so toric.py
+    # takes from sweep.py only the module and the direction type, and no
+    # second algebra of values is carried through the recursion
+    tree = ast.parse((SRC / "toric.py").read_text(), filename="toric.py")
+    imported = sorted(
+        (node.module or "", alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if node.module == "sweep" or alias.name == "sweep"
+    )
+    assert imported == [("", "sweep"), ("sweep", "SweepDirection")]
+    algebras = source_lines(
+        lambda node: (isinstance(node, DEFINITIONS) and node.name.endswith(ALGEBRAS))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id.endswith(ALGEBRAS))
+    )
+    assert not algebras, f"sweep algebras in the package: {algebras}"
 
 
 def referenced_names(tree) -> Counter:

@@ -829,7 +829,7 @@ def swept_polytopes(draw):
 def test_closed_form_parts_equal_the_cut_figures_parts(case):
     """The default sweep reads each figure's upper parts off the order
     (``_upper_sum``), the deep sweep cuts and sweeps the figure: the
-    per-vertex parts agree, under s and -s, for both algebras."""
+    per-vertex parts agree, under s and -s, for the cd and toric sweeps."""
     l, s = case
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
     for direction in (s, reverse):
@@ -841,7 +841,7 @@ def test_closed_form_parts_equal_the_cut_figures_parts(case):
 def test_upper_parts_equal_the_cut_figures_parts_in_dimension_6(spec):
     """Past the random polytopes above, which stop at dimension 5: the
     default and the deep sweep agree vertex by vertex on 6-polytopes,
-    for both algebras, under the ladder and its reverse."""
+    for the cd and toric sweeps, under the ladder and its reverse."""
     l = ps.hull_lattice(parse_input(spec))
     s = ps.choose_direction(None, l.coords)
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
@@ -853,14 +853,19 @@ def test_upper_parts_equal_the_cut_figures_parts_in_dimension_6(spec):
 @pytest.mark.parametrize("deep", [False, True])
 def test_verify_passes_deep_to_every_recursive_sweep(monkeypatch, deep):
     # the two cd sweeps, the toric sweep and the polar's toric sweep
-    import polysweep.toric as toric_mod
-
-    got = []
+    got, depth = [], [0]
 
     def spy(fn):
+        # counts the top-level calls only: the deep recursion and the
+        # toric sweeps call sweep.cd_sweep themselves
         def wrapper(lat_, s, deep=False):
-            got.append((fn.__name__, deep))
-            return fn(lat_, s, deep)
+            if not depth[0]:
+                got.append((fn.__name__, deep))
+            depth[0] += 1
+            try:
+                return fn(lat_, s, deep)
+            finally:
+                depth[0] -= 1
         return wrapper
 
     monkeypatch.setattr(sweep_mod, "cd_sweep", spy(sweep_mod.cd_sweep))
@@ -870,19 +875,18 @@ def test_verify_passes_deep_to_every_recursive_sweep(monkeypatch, deep):
     assert sorted(got) == [("cd_sweep", deep)] * 2 + [("toric_sweep", deep)] * 2
 
 
-@pytest.mark.parametrize("alg", [sweep_mod.CD_ALGEBRA, toric_mod.TORIC_ALGEBRA],
-                         ids=["cd", "toric"])
+@pytest.mark.parametrize("sweep", [cd_sweep, ps.toric_sweep], ids=["cd", "toric"])
 @pytest.mark.parametrize("dim", [3, 1])
-def test_deep_sweep_checks_its_total_and_every_section(alg, dim):
+def test_deep_sweep_checks_its_total_and_every_section(monkeypatch, sweep, dim):
     """A deep sweep raises when its total is not the direct value, and as
     a section's value is its own deep sweep, when a section's is not:
     dimension 3 is cube:3 itself, dimension 1 its sections."""
-    wrong = wrong_on_dimension(alg, dim)
     l, s = lat("cube:3"), default_direction("cube:3")
-    assert sweep_mod.sweep_recursive(alg, l, s, deep=True) == sweep_mod.sweep_recursive(alg, l, s)
-    sweep_mod.sweep_recursive(wrong, l, s)  # the default sweep checks nothing
+    assert sweep(l, s, deep=True) == sweep(l, s)
+    wrong_on_dimension(monkeypatch, dim)
+    sweep(l, s)  # the default sweep checks nothing
     with pytest.raises(CrossCheckError, match="^deep sweep total "):
-        sweep_mod.sweep_recursive(wrong, l, s, deep=True)
+        sweep(l, s, deep=True)
 
 
 def test_toric_sweep_reports_every_vertex():

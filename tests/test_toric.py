@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_direction, lat
 from polysweep.errors import NotInImage
-from polysweep.flagvec import CDPolynomial, cd_index, reverse_words
+from polysweep.flagvec import CDPolynomial, cd_index, cd_words, reverse_words
 from polysweep.sweep import choose_direction, simple_h_by_outdegree
 from polysweep.toric import (
     act_word,
@@ -18,10 +20,12 @@ from polysweep.toric import (
     op_c,
     op_d,
     reconstruct_cd,
+    toric_dual_h,
     toric_from_cd,
     toric_h_definition,
     toric_sweep,
     toric_sweep_symmetric,
+    zeros,
 )
 
 CD = CDPolynomial
@@ -217,6 +221,33 @@ def test_toric_symmetric_octahedron_contributions():
     for vi in order[1:5]:
         assert per[vi] == (0, 1, 1, 0)
     assert total == (1, 5, 5, 1)
+
+
+@st.composite
+def same_degree_cd_polynomials(draw):
+    """(n, phi, psi): two random homogeneous cd-polynomials of one degree
+    n <= 8, each coefficient an int or a half-integer."""
+    n = draw(st.integers(0, 8))
+    coeffs = st.integers(-6, 6) | st.integers(-6, 6).map(lambda k: F(2 * k + 1, 2))
+    poly = st.dictionaries(st.sampled_from(cd_words(n)), coeffs).map(CD)
+    return n, draw(poly), draw(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_degree_cd_polynomials())
+def test_reading_a_cd_part_as_a_vector_commutes_with_the_letters(case):
+    """The toric sweeps read each cd part of the sweep by toric_dual_h.
+    That reading is additive and turns c phi and d phi into op_c and op_d
+    of phi's vector, so every per-vertex toric part is exactly what the
+    c/d operators would accumulate through the recursion."""
+    n, phi, psi = case
+    h = toric_dual_h(phi, n)
+    assert toric_dual_h(CD.word("c") * phi, n + 1) == op_c(h)
+    assert toric_dual_h(CD.word("d") * phi, n + 2) == op_d(h)
+    assert toric_dual_h(phi + psi, n) == tuple(
+        x + y for x, y in zip(h, toric_dual_h(psi, n), strict=True)
+    )
+    assert toric_dual_h(CD.zero(), n) == zeros(n + 1)
 
 
 def test_toric_sweep_equals_reversed_cd():
