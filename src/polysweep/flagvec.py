@@ -29,29 +29,29 @@ class FlagVector:
     values: tuple  # values[mask]
 
 
-def flag_f(l: FaceLattice) -> FlagVector:
-    """f_S = number of chains of faces whose dimensions are exactly S.
+def chain_counts(l: FaceLattice, faces: int, shift: int, seed=None) -> FlagVector:
+    """The chains of the faces in the face-index mask ``faces`` topped by
+    its last face, face i ranked l.dims[i] - shift: value m counts those
+    whose other faces have the ranks in m.  Face i starts chains with the
+    counts seed(i), by default the chain of i alone, and extends those of
+    the faces below it, added one rank at a time.  Every chain count of
+    the package is this recursion (Bayer and Billera)."""
+    counted = {}
+    levels = [l.level.get(k, 0) & faces for k in range(shift, l.dim + 1)]
+    for i in bits(faces):
+        chains = [0 if seed else 1]
+        for r in range(l.dims[i] - shift):
+            same = [counted[j] for j in bits(l.down[i] & levels[r])]
+            chains += map(sum, zip(*same)) if same else [0] * (1 << r)
+        counted[i] = [*map(sum, zip(chains, seed(i)))] if seed else chains
+    top = faces.bit_length() - 1
+    return FlagVector(l.dims[top] - shift, tuple(counted[top]))
 
-    The chains of S ending at each face of dimension max S extend those
-    of S minus max S, so every nonempty S costs one level step."""
-    d = l.dim
-    values = [1] * (1 << d)
-    ending: dict[int, dict] = {}  # subset mask -> face -> chains ending there
-    for mask in range(1, 1 << d):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        if rest:
-            prev = ending[rest]
-            below = l.level.get(rest.bit_length() - 1, 0)
-            cur = {
-                gi: sum(prev[fi] for fi in bits(l.down[gi] & below))
-                for gi in l.by_dim.get(top, ())
-            }
-        else:
-            cur = dict.fromkeys(l.by_dim.get(top, ()), 1)
-        ending[mask] = cur
-        values[mask] = sum(cur.values())
-    return FlagVector(d, tuple(values))
+
+def flag_f(l: FaceLattice) -> FlagVector:
+    """f_S = number of chains of faces whose dimensions are exactly S:
+    the chains of the nonempty faces topped by P."""
+    return chain_counts(l, (1 << len(l.masks)) - 2, 0)
 
 
 def flag_h(f: FlagVector) -> FlagVector:

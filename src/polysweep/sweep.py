@@ -12,21 +12,22 @@ vertex v the machinery builds
   v, whose faces are the faces that v neither tops nor bottoms.
 
 One rule, ``_up_down``, says which edges at v go up and which go down;
-every "above v", "upper", "lower" or "middle" reads it.  With it both
-lattices are read off the parent's order, without coordinates, by one
-builder, ``_lattice_over``: the star [v, P] over the edges at v (the
-figure's lattice), and the section, {v} and the faces at v holding an
-up-edge and a down-edge, over the 2-faces among them.  The symmetric
-sweep reads only these, and every sweep takes its section values from
-the latter.
+every "above v", "upper", "lower" or "middle" reads it.  The figure's
+faces are the star [v, P], the section's {v} and the faces at v holding
+an up-edge and a down-edge; a sweep counts their chains off the parent's
+order, without coordinates, by ``flagvec.chain_counts``.
 
 The recursive sweep needs at v the sum of the figure's parts over its
 sub-vertices above v.  By Stanley's S-shelling that sum depends only on
 which sub-vertices lie above v: it is the cd-index of the figure's
-chains owned above v, which ``_upper_sum`` counts at v off the order.
-So the default sweeps cut nothing, in any dimension.  The deep sweep
-cuts and sweeps every figure and section, which checks that rule; the
-partition cuts the figures and sections whose blocks it reads.
+chains owned above v, which ``_upper_sum`` counts; with every edge up,
+the figure's cd-index, which the symmetric sweep reads.  ``_section_cd``
+counts the section's.  So the default sweeps cut nothing and build no
+lattice.  The deep sweep cuts and sweeps every figure and section, which
+checks that rule; the partition cuts the figures and sections whose
+blocks it reads.  A cut places a lattice read off the order by one
+builder, ``_lattice_over``: the star over the edges at v, the section
+over its 2-faces.
 
 A figure carries exact integer coordinates so that what cuts it can
 sweep it, and so does a section where the deep sweep or the partition
@@ -53,8 +54,8 @@ slope(e_j) = (height(w_j) - height(v)) / gap_j and v at 0.  The support
 normal is the first on a ladder that makes these distinct.
 
 The star is kept per vertex and placed once per support normal, and a
-section's lattice per vertex and split of the edges at v.  s and -s
-negate every slope and share all three.
+section's lattice and cd-index per vertex and split of the edges at v.
+s and -s negate every slope and share all of these.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 from .errors import CrossCheckError, InputError, NotCDExpressible, NotGeneric, NotSimple
 from .exactnum import (
     QVector, affine_rank, dot, exact, integer_multiple, primitive, vscale, vsub,
 )
-from .flagvec import CDPolynomial, FlagVector, cd_from_ab, cd_index, flag_h
+from .flagvec import CDPolynomial, cd_from_ab, cd_index, chain_counts, flag_h
 from .polytope import (
     FaceLattice,
     VRep,
@@ -337,27 +337,24 @@ def _star(lat: FaceLattice, vi: int) -> tuple:
     return _lattice_over(lat, lat.faces_at_vertex(vi, 1), bits(lat.up[lat.index[1 << vi]]), 1)
 
 
-def _section_lattice(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple | None:
-    """(lattice, face map) of the section at vi: {v} and the faces at v
-    holding an up- and a down-edge at v, over the 2-faces among them, two
-    dimensions lower, which ``sweep_section`` places.  None as for it.
-    Kept per split of the edges at v, which s and -s share."""
-    up, down, _ = _up_down(lat, s, vi)
-    if lat.dim < 2 or not (up and down):
-        return None
-    return _split_section(lat, vi, *sorted((up, down)))
-
-
 @memoized
 def _split_section(lat: FaceLattice, vi: int, one: int, other: int) -> tuple:
-    v = lat.index[1 << vi]
-    faces = [v] + [i for i in bits(lat.up[v]) if lat.down[i] & one and lat.down[i] & other]
+    """(lattice, face map) of the section at vi for a split of the edges
+    at v: {v} and ``_crossing``, over the 2-faces among them, two
+    dimensions lower.  Kept per split, which s and -s share."""
+    faces = [lat.index[1 << vi], *bits(_crossing(lat, vi, one, other))]
     return _lattice_over(lat, [i for i in faces if lat.dims[i] == 2], faces, 2)
+
+
+def _crossing(lat: FaceLattice, vi: int, one: int, other: int) -> int:
+    """The mask of the faces at vi holding an edge of each mask."""
+    at = bits(lat.up[lat.index[1 << vi]])
+    return sum(1 << i for i in at if lat.down[i] & one and lat.down[i] & other)
 
 
 @memoized
 def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope | None:
-    """The section read off lat (``_section_lattice``), placed as the
+    """The section read off lat (``_split_section``), placed as the
     vertex figure Q cut by the sweep hyperplane through v; None below
     dimension 2 and when v is the lowest or highest vertex.  Only the
     deep sweep and the partition, which sweep sections, cut them.
@@ -367,10 +364,10 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     to y2, scaled by the lcm of the h1 - h2.  The direction is the
     ladder's on the section's coordinates; the sweep is constant on it.
     """
-    read = _section_lattice(lat, s, vi)
-    if read is None:
+    up, down, _ = _up_down(lat, s, vi)
+    if lat.dim < 2 or not (up and down):
         return None
-    r, face_parent = read
+    r, face_parent = _split_section(lat, vi, *sorted((up, down)))
     qv = vertex_figure(lat, s, vi)
     q, ys, qheights = qv.lattice, qv.lattice.coords.vertices, qv.direction.heights
     # a section face is cut from Q's face over the same face; {v} is Q's empty one
@@ -407,16 +404,16 @@ def cd_sweep(
     The contribution at v is d times the section's cd-index plus c times
     the sum of the vertex figure's parts over its sub-vertices above v,
     which ``_upper_sum`` reads off the order; the last vertex swept
-    contributes zero.  The section's cd-index comes from the flag route
-    on ``_section_lattice``.  With deep=True the figure and the section
-    are cut and swept instead, and the total must be ``cd_index(lat)``,
-    which checks each figure's and each section's sweep too.
+    contributes zero.  The section's cd-index is counted off the order
+    too (``_section_cd``).  With deep=True the figure and the section are
+    cut and swept instead, and the total must be ``cd_index(lat)``, which
+    checks each figure's and each section's sweep too.
     """
     if lat.dim == 0:
         return {0: CDPolynomial.one()}, CDPolynomial.one()
     per = {}
     for vi in range(lat.n_vertices):
-        up, _, above = _up_down(lat, s, vi)
+        up, down, above = _up_down(lat, s, vi)
         if not up:  # the last vertex swept
             per[vi] = CDPolynomial.zero()
             continue
@@ -427,13 +424,12 @@ def cd_sweep(
         else:
             upper = _upper_sum(lat, vi, up)
         term = _C * upper
-        r = _section_lattice(lat, s, vi)
-        if r is not None:
+        if lat.dim >= 2 and down:
             if deep:  # the section's sweep checks itself against its cd-index
                 rv = sweep_section(lat, s, vi)
                 val_r = cd_sweep(rv.lattice, rv.direction, True)[1]
             else:
-                val_r = cd_index(r[0])
+                val_r = _section_cd(lat, vi, *sorted((up, down)))
             term = term + _D * val_r
         per[vi] = term
     total = sum(per.values(), CDPolynomial.zero())
@@ -448,39 +444,38 @@ def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
     v, those on the edges at v in the mask up, read off lat's order: by
     Stanley's S-shelling, the cd-index of the chains of faces strictly
     between {v} and P owned above v in the partition of the figure's
-    truncation.  The empty chain, and a chain whose least face G is no
-    edge, count when every edge at v of P, or of G, goes up.  Of the
-    chains whose least face is an edge and next face F (P if none), one
-    per edge of F at v, n_F - 1 count when F holds an up- and a down-edge
-    at v and n_F otherwise, n_F its up-edges at v.  Counts that are no
+    truncation: the chains of the faces at v of dimension >= 1 topped by
+    P, G ranked dim G - 1 as in the figure, where the chain of G alone
+    counts when every edge of G at v goes up, and G's chains through an
+    edge count one fewer when G holds an up- and a down-edge at v.  With
+    every edge up, all count: the figure's cd-index.  Counts that are no
     cd-index are a fault of the engine, and raise CrossCheckError.
     ``cd_sweep`` attaches c to this polynomial as it is; memoized per
     vertex and set of up-edges, so the cd and toric sweeps of lat share
     it."""
     v = lat.index[1 << vi]
     down = lat.up[v] & lat.level[1] & ~up
-    top = len(lat.masks) - 1
-    # the faces at v that can top a chain, those of dimension >= 2 and P
-    tall = lat.up[v] & ~(lat.level[0] | lat.level[1]) | 1 << top
-    # counted[i][m]: the counted chains topped by face i, the figure's
-    # ranks of their other faces the mask m
-    counted = {}
-    for i in bits(tall):
-        rank = lat.dims[i] - 1  # in the figure
-        rises = int(not lat.down[i] & down)
-        chains = [rises] + [0] * ((1 << rank) - 1)
-        if rank:
-            n = (lat.down[i] & up).bit_count()
-            chains[1] = n - 1 if n and not rises else n
-        for j in bits(lat.down[i] & tall & ~(1 << i)):
-            low = 1 << (lat.dims[j] - 1)  # face j's rank in the figure, as a mask
-            chains[low : 2 * low] = map(add, chains[low : 2 * low], counted[j])
-        counted[i] = chains
-    f = FlagVector(lat.dim - 1, tuple(counted[top]))
+
+    def seed(i):
+        chains = [int(not lat.down[i] & down)] + [0] * ((1 << (lat.dims[i] - 1)) - 1)
+        if lat.dims[i] >= 2 and lat.down[i] & up and lat.down[i] & down:
+            chains[1] = -1
+        return chains
+
+    f = chain_counts(lat, lat.up[v] & ~lat.level[0], 1, seed)
     try:
         return cd_from_ab(flag_h(f))
     except NotCDExpressible as e:
         raise CrossCheckError(f"the chains owned above vertex {vi} have no cd-index: {e}") from None
+
+
+@memoized
+def _section_cd(lat: FaceLattice, vi: int, one: int, other: int) -> CDPolynomial:
+    """The cd-index of the section at vi for the split of the edges at v
+    into the masks one and other: the chains of its nonempty faces, the
+    faces at v holding an edge of each, two dimensions lower.  Memoized
+    per split, which s and -s share."""
+    return cd_from_ab(flag_h(chain_counts(lat, _crossing(lat, vi, one, other), 2)))
 
 
 def cd_sweep_symmetric(
@@ -488,17 +483,18 @@ def cd_sweep_symmetric(
 ) -> tuple[dict, CDPolynomial]:
     """Direction-averaged form: with Q the vertex figure and R the
     section, each vertex contributes (c Phi(Q) + (2d - c^2) Phi(R)) / 2,
-    both cd-indices computed directly on lattices read off lat's order,
-    so no coordinate is read.  Per-vertex parts may be half-integral; the
-    total must be integral."""
+    both cd-indices counted off lat's order (``_upper_sum`` with every
+    edge up, and ``_section_cd``), so no coordinate is read.  Per-vertex
+    parts may be half-integral; the total must be integral."""
     if lat.dim == 0:
         return {0: CDPolynomial.one()}, CDPolynomial.one()
     per = {}
     for vi in range(lat.n_vertices):
-        term = _C * cd_index(_star(lat, vi)[0])
-        r = _section_lattice(lat, s, vi)
-        if r is not None:
-            term = term + (_D * 2 + _C * _C * -1) * cd_index(r[0])
+        up, down, _ = _up_down(lat, s, vi)
+        term = _C * _upper_sum(lat, vi, up | down)
+        if lat.dim >= 2 and up and down:
+            section = _section_cd(lat, vi, *sorted((up, down)))
+            term = term + (_D * 2 + _C * _C * -1) * section
         per[vi] = term * Fraction(1, 2)
     total = sum(per.values(), CDPolynomial.zero())
     if not total.is_integral():

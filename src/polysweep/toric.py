@@ -11,6 +11,7 @@ about final results only.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from . import sweep
@@ -68,6 +69,13 @@ def act_word(seed, w: str) -> tuple:
     return h
 
 
+@lru_cache(maxsize=None)
+def _word_vector(w: str) -> tuple:
+    """act_word((1,), w), computed once per word: every cd-polynomial
+    read as a vector reads its words on the seed (1)."""
+    return act_word((1,), w)
+
+
 def toric_from_cd(phi: CDPolynomial, degree: int | None = None) -> tuple:
     """h = (1) Phi: sum of coeff * act_word((1), word).
 
@@ -80,7 +88,7 @@ def toric_from_cd(phi: CDPolynomial, degree: int | None = None) -> tuple:
     for w, c in phi.terms.items():
         if CDPolynomial.word_degree(w) != degree:
             raise ValueError(f"word {w!r} does not have degree {degree}")
-        total = vadd(total, vscale(c, act_word((1,), w)))
+        total = vadd(total, vscale(c, _word_vector(w)))
     return normalize_vec(total)
 
 

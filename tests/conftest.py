@@ -15,9 +15,10 @@ from polysweep.sweep import support_normal
 
 
 def wrong_on_dimension(monkeypatch, dim: int):
-    """Make the sweeps' direct cd-index, ``sweep.cd_index``, double its
-    value on lattices of dimension dim: a mutant that every deep sweep,
-    the cd one and the toric one that reads it, must catch."""
+    """Make ``sweep.cd_index`` double its value on lattices of dimension
+    dim.  Only the deep sweep's check reads it, as the default sweeps
+    count every value off the order: a mutant that every deep sweep, the
+    cd one and the toric one that reads it, must catch."""
     real = sweep_mod.cd_index
     monkeypatch.setattr(
         sweep_mod, "cd_index", lambda lat: real(lat) * 2 if lat.dim == dim else real(lat)

@@ -79,6 +79,26 @@ def test_one_sweep_engine_over_cd_polynomials():
     assert not algebras, f"sweep algebras in the package: {algebras}"
 
 
+CHAIN_COUNTERS = {"flagvec.py": {"flag_f"}, "sweep.py": {"_upper_sum", "_section_cd"}}
+
+
+def test_one_chain_recursion():
+    # the flag f-vector, the sweeps' upper parts, stars and sections are
+    # all chain counts of flagvec.chain_counts, so no function reading
+    # them holds a loop of its own
+    for name, counters in CHAIN_COUNTERS.items():
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in counters:
+                inner = list(ast.walk(node))
+                loops = [n for n in inner if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+                assert not loops, f"{name} {node.name} loops at line {loops[0].lineno}"
+                assert "chain_counts" in referenced_names(node), f"{name} {node.name}"
+                found.add(node.name)
+        assert found == counters
+
+
 def referenced_names(tree) -> Counter:
     """How often each identifier is read in the tree, as a name, an
     attribute or an import; strings, comments and definitions do not count."""

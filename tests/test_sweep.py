@@ -12,7 +12,7 @@ import polysweep.truncpartition as partition_mod
 from conftest import (
     default_direction, eliminated_facets, ladder_slopes, lat, wrong_on_dimension,
 )
-from polysweep.cli import parse_direction, parse_input
+from polysweep.cli import main, parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
 from fraction_rref import pivot_columns
 from cli_compare import DIRECTIONS as CORPUS_DIRECTIONS
@@ -434,7 +434,7 @@ def test_figure_memo_keys_on_the_direction():
         assert (r1 is None) == (r2 is None)
         if r1 is not None:
             assert r1 is not r2 and r1 is sweep_section(l, s1, vi)
-            read = sweep_mod._section_lattice(l, s2, vi)
+            read = read_section(l, s2, vi)
             for r in (r1, r2):
                 assert (r.lattice.masks, r.lattice.dims, r.face_parent) == (
                     read[0].masks, read[0].dims, read[1])
@@ -620,7 +620,9 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
     value is read off the lattice.  In no dimension does it call
     ``vertex_figure``, ``support_normal`` or ``_place`` either: the
     recursive sweeps read the figure's upper parts off the lattice
-    (``_upper_sum``).  The deep sweep cuts both."""
+    (``_upper_sum``).  Nor does it build a sub-lattice
+    (``_lattice_over``): every value is a chain count of the parent's
+    order.  The deep sweep cuts both, and builds what it cuts."""
     calls = []
 
     def spy(name, fn):
@@ -629,23 +631,85 @@ def test_no_sweep_cuts_a_section_unless_deep(monkeypatch, spec):
             return fn(*args)
         return wrapper
 
-    for name in ("sweep_section", "vertex_figure", "support_normal", "_place"):
+    for name in ("sweep_section", "vertex_figure", "support_normal", "_place", "_lattice_over"):
         monkeypatch.setattr(sweep_mod, name, spy(name, getattr(sweep_mod, name)))
     # each sweep gets a lattice with an empty memo
-    l1, l2, l3 = (ps.hull_lattice(parse_input(spec)) for _ in range(3))
-    s = ps.choose_direction(None, l1.coords)
-    ps.cd_sweep_symmetric(l1, s)
-    ps.toric_sweep_symmetric(l2, s)
-    assert calls == []
-    ps.cd_sweep(l1, s)
-    ps.toric_sweep(l2, s)
-    assert calls == []
-    ps.cd_sweep(l3, s, deep=True)
-    assert {"vertex_figure", "support_normal", "_place"} <= set(calls)
-    assert ("sweep_section" in calls) == (l3.dim >= 2)
+    sweeps = (ps.cd_sweep_symmetric, ps.toric_sweep_symmetric, ps.cd_sweep, ps.toric_sweep)
+    lattices = [ps.hull_lattice(parse_input(spec)) for _ in range(len(sweeps) + 1)]
+    s = ps.choose_direction(None, lattices[0].coords)
+    for sweep, l in zip(sweeps, lattices):
+        sweep(l, s)
+        assert calls == [], sweep.__name__
+    ps.cd_sweep(lattices[-1], s, deep=True)
+    assert {"vertex_figure", "support_normal", "_place", "_lattice_over"} <= set(calls)
+    assert ("sweep_section" in calls) == (lattices[-1].dim >= 2)
+
+
+def readings_off(l) -> list:
+    """Where the values the default sweeps count off the order at each
+    vertex, under the ladder and its reverse, differ from the lattices
+    and cuts they stand for: the figure's cd-index, ``_upper_sum`` with
+    every edge up, against the flag route on the star; the upper sum
+    against the cut figure's deep-swept parts above v; the section's
+    cd-index, split either way round, against the flag route on the
+    section's lattice.  Empty when all agree."""
+    s = ps.choose_direction(None, l.coords)
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    off = []
+    for direction in (s, reverse):
+        for vi in range(l.n_vertices):
+            up, down, above = sweep_mod._up_down(l, direction, vi)
+            if sweep_mod._upper_sum(l, vi, up | down) != cd_index(sweep_mod._star(l, vi)[0]):
+                off.append((vi, "star"))
+            if up:
+                q = vertex_figure(l, direction, vi)
+                parts = cd_sweep(q.lattice, q.direction, deep=True)[0]
+                if sweep_mod._upper_sum(l, vi, up) != sum(
+                    (parts[j] for j in above), CDPolynomial.zero()
+                ):
+                    off.append((vi, "upper"))
+            if l.dim >= 2 and up and down:
+                section = sweep_mod._split_section(l, vi, *sorted((up, down)))[0]
+                if sweep_mod._section_cd(l, vi, up, down) != cd_index(section):
+                    off.append((vi, "section"))
+    return off
+
+
+@pytest.mark.parametrize("spec", [spec for spec, d in CORPUS_SPECS.items() if d])
+def test_the_readings_off_the_order_equal_the_lattices_they_stand_for(spec):
+    assert readings_off(ps.hull_lattice(parse_input(spec))) == []
+
+
+def test_a_kernel_without_the_mixed_correction_fails_the_readings(monkeypatch, capsys):
+    """A mutant ``chain_counts`` that drops the -1 of the upper sum's
+    seed, the one less chain through an edge below a face holding an up-
+    and a down-edge at v, fails the oracle above, and ``verify`` exits 3
+    on it."""
+    real = sweep_mod.chain_counts
+
+    def mutant(l, faces, shift, seed=None):
+        return real(l, faces, shift, seed and (lambda i: [max(c, 0) for c in seed(i)]))
+
+    monkeypatch.setattr(sweep_mod, "chain_counts", mutant)
+    try:
+        off = readings_off(ps.hull_lattice(parse_input("cube:3")))
+    except CrossCheckError as e:
+        off = [str(e)]
+    assert off
+    assert main(["verify", "--input", "cube:3"]) == 3
+    assert capsys.readouterr().err.startswith("cross-check failure: ")
 
 
 ORDER_FIELDS = ("dim", "masks", "dims", "index", "by_dim", "level", "up", "down")
+
+
+def read_section(l, s, vi):
+    """(lattice, face map) of the section at vi read off the order, the
+    one ``sweep_section`` places; None where it gives None."""
+    up, down, _ = sweep_mod._up_down(l, s, vi)
+    if l.dim < 2 or not (up and down):
+        return None
+    return sweep_mod._split_section(l, vi, *sorted((up, down)))
 
 
 def cuts_place_the_read_lattices(l, s, depth) -> int:
@@ -658,7 +722,7 @@ def cuts_place_the_read_lattices(l, s, depth) -> int:
     for vi in range(l.n_vertices):
         q = vertex_figure(l, s, vi)
         pairs = [(q, sweep_mod._star(l, vi))]
-        read, r = sweep_mod._section_lattice(l, s, vi), sweep_section(l, s, vi)
+        read, r = read_section(l, s, vi), sweep_section(l, s, vi)
         assert (read is None) == (r is None)
         if r is not None:
             pairs.append((r, read))
@@ -939,7 +1003,7 @@ def test_s_and_minus_s_share_each_section_lattice():
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
     shared = 0
     for vi in range(l.n_vertices):
-        r = sweep_mod._section_lattice(l, s, vi)
-        assert r is sweep_mod._section_lattice(l, reverse, vi)
+        r = read_section(l, s, vi)
+        assert r is read_section(l, reverse, vi)
         shared += r is not None
     assert shared
