@@ -173,7 +173,7 @@ def cmd_flag(lat: FaceLattice, args) -> dict:
     }
 
 
-# the key and the format of each quantity of verify.ROUTES
+# the key and the format of each quantity of verify.ROUTES that is a command
 _PRINTED_AS = {"cdindex": ("cd", lambda phi: phi.to_json()), "toric": ("toric", _fmt_vec)}
 
 
@@ -295,7 +295,7 @@ def _printed(render, value) -> str:
 COMMANDS = {
     "describe": cmd_describe,
     "flag": cmd_flag,
-    **dict.fromkeys(verify.ROUTES, cmd_route),
+    **dict.fromkeys(_PRINTED_AS, cmd_route),
     "extended": cmd_extended,
     "partition": cmd_partition,
     "verify": cmd_verify,
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--input", required=True, help="builtin spec or JSON path")
     ap.add_argument("--method", help="; ".join(
-        f"{quantity}: {'|'.join(routes)}" for quantity, routes in verify.ROUTES.items()
+        f"{quantity}: {'|'.join(verify.ROUTES[quantity])}" for quantity in _PRINTED_AS
     ))
     ap.add_argument("--direction", help="comma-separated rationals, e.g. 1,2,4")
     ap.add_argument("--format", choices=("json", "table"), default="json")
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _deep_routes() -> str:
-    """verify and every route of verify.ROUTES that runs the recursive sweep."""
-    deep = (f"{q} --method {m}" for q, rs in verify.ROUTES.items() for m, r in rs.items()
+    """verify and every route of a command that runs the recursive sweep."""
+    deep = (f"{q} --method {m}" for q in _PRINTED_AS for m, r in verify.ROUTES[q].items()
             if r.deep)
     return ", ".join(["verify", *deep])
 

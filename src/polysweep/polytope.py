@@ -341,7 +341,9 @@ def polar_dual(l: FaceLattice) -> VRep:
 
 def polar_lattice(l: FaceLattice) -> FaceLattice:
     """The polar dual's lattice, hulled from its coordinates rather than
-    read off ``dual(l)``, so that a check comparing the two tests the hull."""
+    read off ``dual(l)``.  No check compares the two lattices: verify
+    compares only the toric h-vector of the polar's sweep with the
+    definition's on l."""
     return hull_lattice(polar_dual(l))
 
 

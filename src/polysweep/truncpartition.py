@@ -56,9 +56,6 @@ class Block:
     owner: int
     faces: frozenset  # frozenset[Chain]
 
-    def size_law(self) -> int:
-        return _size_law(self.word)
-
 
 def _size_law(word: str) -> int:
     """The number of chains in a block with this cd-word."""
@@ -264,10 +261,10 @@ def verify_partition(blocks, chains, lat: FaceLattice) -> PartitionReport:
         )
 
     for b in blocks:
-        if len(b.faces) != b.size_law():
+        if len(b.faces) != _size_law(b.word):
             failures.append(
                 f"size law: block {b.word} has {len(b.faces)} faces, "
-                f"wants {b.size_law()}"
+                f"wants {_size_law(b.word)}"
             )
 
     word_sum = CDPolynomial({})

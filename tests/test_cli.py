@@ -154,6 +154,71 @@ def test_verify_with_a_wrong_reconstruction_exits_3(capsys, monkeypatch):
     )
 
 
+# the checks of `verify --input cube:3` that read each row of verify.ROUTES,
+# in the order verify runs them; verify does not read the polar's
+# symmetric sweep, toric --method symmetric
+PRIMARY_AND_ALTERNATE = [
+    "sweep total equals flag route (primary)",
+    "symmetric sweep equals flag route (primary)",
+    "sweep total equals flag route (alternate)",
+    "symmetric sweep equals flag route (alternate)",
+]
+READ_BY = {
+    ("cdindex", "flag"): [
+        "coefficient of c^d is 1",
+        *PRIMARY_AND_ALTERNATE,
+        "extended toric reconstructs the cd-index",
+        "number of blocks equals cd coefficient sum",
+    ],
+    ("cdindex", "sweep"): PRIMARY_AND_ALTERNATE[0::2],
+    ("cdindex", "symmetric"): PRIMARY_AND_ALTERNATE[1::2],
+    ("toric", "def"): [
+        "toric definition equals cd route",
+        "toric via polar sweep equals definition",
+        "toric h symmetric",
+        "toric h starts at 1",
+    ],
+    ("toric", "cd"): ["toric definition equals cd route"],
+    ("toric", "sweep"): ["toric via polar sweep equals definition"],
+    ("toric", "symmetric"): [],
+    ("dualcd", "reversed"): ["dual cd-index is the reversed cd-index"],
+    ("dualcd", "flag"): ["dual cd-index is the reversed cd-index"],
+    ("dualtoric", "reversed"): ["toric sweep equals reversed-cd route of the dual"],
+    ("dualtoric", "sweep"): [
+        "toric sweep equals reversed-cd route of the dual",
+        "toric symmetric sweep equals toric sweep",
+    ],
+    ("dualtoric", "symmetric"): ["toric symmetric sweep equals toric sweep"],
+    ("simpleh", "fvector"): ["outdegree h equals f(P, x-1)"],
+    ("simpleh", "outdegree"): ["outdegree h equals f(P, x-1)"],
+}
+
+
+def mutated(route: verify.Route) -> verify.Route:
+    """The route with a wrong value: one c^d word more, or 1 more in entry 0."""
+
+    def run(lat, direction, deep):
+        value, per, s = route.run(lat, direction, deep)
+        if isinstance(value, CDPolynomial):
+            return value + CDPolynomial.word("c" * lat.dim), per, s
+        return (value[0] + 1, *value[1:]), per, s
+
+    return verify.Route(run, route.deep, route.polar)
+
+
+@pytest.mark.parametrize("row", list(READ_BY), ids="/".join)
+def test_a_wrong_row_fails_exactly_the_checks_that_read_it(capsys, monkeypatch, row):
+    # verify reads every value it compares through the route table
+    assert set(READ_BY) == {(q, m) for q, routes in verify.ROUTES.items() for m in routes}
+    quantity, method = row
+    monkeypatch.setitem(verify.ROUTES[quantity], method, mutated(verify.ROUTES[quantity][method]))
+    failed = READ_BY[row]
+    assert main(["verify", "--input", "cube:3"]) == (3 if failed else 0)
+    assert capsys.readouterr().err == (
+        f"cross-check failure: failed checks: {'; '.join(failed)}\n" if failed else ""
+    )
+
+
 def test_upper_parts_that_are_no_cd_index_exit_3(capsys, monkeypatch):
     # counts with no cd-index are a fault of the engine, not of the input
     real = sweep_mod.flag_h

@@ -10,7 +10,13 @@ After an intended change of the output, rewrite the golden file with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and say in CHANGES.md which outputs changed and why.
+and say in CHANGES.md which outputs changed and why.  The names, order
+and values of verify's checks are frozen beyond this file:
+`bench/digests.json` pins the first five default-seed outputs of each
+benchmark workload byte for byte, and every `verify-small` job is
+`verify`.  A check added, renamed or moved makes the benchmark mark
+its runs incorrect (`"correct": false`), so it waits for a change that
+rewrites those digests together with the benchmark.
 """
 
 import contextlib

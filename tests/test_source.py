@@ -148,3 +148,18 @@ def test_the_cli_runs_no_route_and_checks_nothing_itself():
     methods -= {*cli.COMMANDS, *(key for key, _ in cli._PRINTED_AS.values())}
     spelled = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert methods and not methods & spelled
+
+
+def test_verify_reads_every_compared_value_off_the_route_table():
+    # run_verification compares rows of verify.ROUTES and calls no route
+    # itself; the quantities only it reads are no commands of the CLI
+    from polysweep import cli, verify
+
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    body = next(node for node in tree.body if getattr(node, "name", None) == "run_verification")
+    routes = {"cd_sweep", "cd_sweep_symmetric", "toric_sweep", "toric_sweep_symmetric",
+              "toric_h_definition", "toric_from_cd", "toric_dual_h", "polar_lattice", "dual",
+              "simple_h_by_outdegree"}
+    assert not routes & set(referenced_names(body))
+    verify_only = set(verify.ROUTES) - set(cli._PRINTED_AS)
+    assert verify_only and not verify_only & set(cli.COMMANDS)
