@@ -11,8 +11,9 @@ shared freely.
 
 The elimination is fraction-free: each row is scaled to integers by the
 lcm of its denominators (``integer_multiple``, the one such rule, which
-the hull and the vertex figures call too), rows are combined with
-integer multipliers, and every combined row is divided by its content.
+the hull and the vertex figures call too; a row of ints is its own
+multiple and reads no denominator), rows are combined with integer
+multipliers, and every combined row is divided by its content.
 Ranks and kernel vectors therefore come out of integer arithmetic alone,
 and a kernel line is a primitive int tuple.
 """
@@ -99,7 +100,9 @@ def vscale(c, a: QVector) -> QVector:
 
 def integer_multiple(v: QVector) -> tuple[tuple, int]:
     """(m v, m), m the lcm of the denominators of v's entries, so m v is
-    an int tuple."""
+    an int tuple; (v, 1) at once when every entry is an int."""
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
     m = lcm(*(x.denominator for x in v))
     return tuple([x.numerator * (m // x.denominator) for x in v]), m
 
@@ -177,5 +180,7 @@ def primitive_kernel(rows, ncols: int) -> tuple | None:
     x[free] = big
     for row, c in zip(echelon, pivots):
         x[c] = -row[free] * (big // row[c])
-    x = primitive(x)
-    return x if next(e for e in x if e) > 0 else tuple(-e for e in x)
+    # divided by its content, signed to make the first nonzero entry
+    # positive; x[free] is nonzero, so the content is too
+    g = gcd(*x) if next(e for e in x if e) > 0 else -gcd(*x)
+    return tuple([e // g for e in x])

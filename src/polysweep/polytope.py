@@ -1,13 +1,17 @@
 """Face lattices of convex polytopes from exact vertex coordinates.
 
-The hull construction is deliberately brute force: enumerate spanning
-point subsets, keep the hyperplanes with every point on one closed side,
-and close the facet vertex sets under intersection.  Every point is
-scaled once to an integer row, so the subset loop does integer work
-only.  Its time grows with C(n, d) (measured on one core of a 2-core
-Xeon: about 0.05-0.07 s at 16 vertices in dimension 4 or 12 in
-dimension 6; 0.6-0.7 s at 24-25 vertices in dimension 4; 12 s for
-cube:5).
+The facets are found by brute force: every d-subset of the points is
+tried, and the hyperplane through it is kept when every point lies on
+one closed side.  Every point is scaled once to an integer row, so the
+subset loop does integer work only, and its time grows with C(n, d).
+The faces below the facets are read off the vertex sets, one level at a
+time (Kaibel & Pfetsch 2002): the facets of a k-face are its
+inclusion-maximal proper intersections with the facets of the
+polytope, and each face's dimension is its level, so the rows are
+ranked once, to check that the points span R^d.  Measured on one core
+of a 2-core Xeon: about 0.03 s at 16 vertices in dimension 4, 0.04 s
+for simplex:11, 0.15 s for cross:7, 0.25-0.3 s at 24-25 vertices in
+dimension 4, and 4.3 s for cube:5.
 
 A lattice uses two encodings, both Python ints used as bitsets.  A face
 *is* its vertex set, a mask over vertex indices, so deduplication and
@@ -221,15 +225,22 @@ def hull_lattice(v: VRep) -> FaceLattice:
         if meet != 1 << i:
             raise NonVertexPoint(i)
 
-    # every face is the meet of the facets containing it
-    faces = {full, 0}
-    for m in facet_masks:
-        faces |= {f & m for f in faces}
-
-    def face_dim(mask: int) -> int:
-        return matrix_rank([rows[i] for i in bits(mask)]) - 1 if mask else -1
-
-    return FaceLattice(d, [(m, face_dim(m)) for m in faces], coords=v, facets=facets)
+    # level by level down from the facets: the facets of a k-face f are
+    # its inclusion-maximal proper cuts f & m by the facets m, kept in
+    # order of decreasing size unless a kept cut contains them
+    level = facet_masks
+    faces = [(full, d), *((m, d - 1) for m in level)]
+    for k in range(d - 2, -2, -1):
+        below = set()
+        for f in level:
+            kept = []
+            for c in sorted({f & m for m in facet_masks} - {f}, key=int.bit_count, reverse=True):
+                if all(c & ~g for g in kept):
+                    kept.append(c)
+            below.update(kept)
+        level = below
+        faces += [(m, k) for m in level]
+    return FaceLattice(d, faces, coords=v, facets=facets)
 
 
 # ---------------------------------------------------------------------------

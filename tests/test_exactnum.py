@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from polysweep.exactnum import (
     affine_rank,
     dot,
     exact,
+    integer_multiple,
     matrix_rank,
     primitive,
     primitive_kernel,
@@ -121,7 +123,9 @@ small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 @st.composite
 def rank_deficient_rows(draw):
     """(ncols, rows): rational combinations of ncols - 2 to ncols random
-    rows, with repeated rows and zero rows mixed in."""
+    rows, with repeated rows and zero rows mixed in; or each of those
+    rows scaled by the lcm of its denominators and made plain ints by
+    ``exact``, which keeps the rank and the kernel."""
     n = draw(st.integers(2, 5))
     basis = draw(st.lists(st.lists(small, min_size=n, max_size=n),
                           min_size=max(n - 2, 0), max_size=n))
@@ -132,6 +136,8 @@ def rank_deficient_rows(draw):
     extra = draw(st.lists(st.sampled_from(rows), max_size=2))
     zeros = [[F(0)] * n] * draw(st.integers(0, 1))
     order = draw(st.permutations(rows + extra + zeros))
+    if draw(st.booleans()):
+        order = [[exact(x * lcm(*(y.denominator for y in r))) for x in r] for r in order]
     return n, list(order)
 
 
@@ -168,3 +174,13 @@ def test_primitive_keeps_the_direction():
     assert primitive((6, -4)) == (3, -2)
     with pytest.raises(ValueError):
         primitive((F(0), 0))
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=6))
+def test_integer_multiple_of_ints_is_the_row_itself(v):
+    # the int rows' shortcut gives what the rule by denominators gives
+    # on the same values as Fractions
+    fast, general = integer_multiple(v), integer_multiple(tuple(map(F, v)))
+    assert fast == general == (tuple(v), 1)
+    assert type(fast[0]) is tuple
+    assert all(type(x) is int for x in fast[0] + general[0])

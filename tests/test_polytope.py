@@ -2,13 +2,16 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import polysweep as ps
+from brute_hull import brute_hull_lattice
 from cli_compare import DIRECTIONS
 from cli_compare import SPECS as CORPUS_SPECS
 from conftest import default_direction, eliminated_facets, lat, validate, vec, vrep_to_json
-from polysweep.cli import parse_direction
-from polysweep.errors import NonVertexPoint, NotFullDimensional
+from polysweep.cli import parse_direction, parse_input
+from polysweep.errors import InputError, NonVertexPoint, NotFullDimensional
 from polysweep.polytope import (
     FaceLattice,
     VRep,
@@ -126,6 +129,66 @@ def test_edge_endpoints_rejects_a_non_edge():
     l = lat("cube:3")
     with pytest.raises(ValueError, match="is not an edge"):
         l.edge_endpoints(l.by_dim[2][0])
+
+
+def hull_or_refusal(hull, v):
+    """The order and facets hull(v) finds, or the type and message of
+    its refusal."""
+    try:
+        l = hull(v)
+    except InputError as e:
+        return type(e), str(e)
+    return l.masks, l.dims, l.up, l.down, l.facets
+
+
+scale = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@st.composite
+def point_sets(draw):
+    """d + 1 to d + 5 points in dimension 1-5: mostly distinct points on
+    the paraboloid x_d = |x|^2 (all vertices), else random ones, possibly
+    scaled and moved by rationals, with a repeated point, the midpoint
+    of two points or every point on one hyperplane added."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 1, d + 5))
+    if d > 1 and draw(st.integers(0, 3)):
+        xs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * (d - 1)),
+                           min_size=n, max_size=n, unique=True))
+        pts = [(*x, sum(c * c for c in x)) for x in xs]
+    else:
+        pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        a = draw(st.lists(scale, min_size=d, max_size=d))
+        b = draw(st.lists(scale, min_size=d, max_size=d))
+        pts = [tuple(x * y + z for x, y, z in zip(p, a, b)) for p in pts]
+    extra = draw(st.none() | st.sampled_from(("repeat", "midpoint", "flat")))
+    if extra == "repeat":
+        pts.append(draw(st.sampled_from(pts)))
+    elif extra == "midpoint":
+        p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple(F(x + y, 2) for x, y in zip(p, q)))
+    elif extra == "flat":
+        pts = [(*p[:-1], sum(p[:-1])) for p in pts]
+    return VRep(d, tuple(draw(st.permutations(pts))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_hull_matches_the_brute_force_closure(v):
+    """Faces level by level from the facets, each of its level's
+    dimension, give the order and facets of the intersection closure
+    with a rank per face; a refusal is the same refusal."""
+    got = hull_or_refusal(ps.hull_lattice, v)
+    assert got == hull_or_refusal(brute_hull_lattice, v)
+    event(got[0].__name__ if isinstance(got[0], type) else f"dimension {v.dim} polytope")
+
+
+@pytest.mark.parametrize("spec", [*CORPUS_SPECS, "json", "cross:6"])
+def test_corpus_hulls_match_the_brute_force_closure(spec):
+    v = vrep_from_json(RATIONAL_INPUT) if spec == "json" else parse_input(spec)
+    got = hull_or_refusal(ps.hull_lattice, v)
+    assert isinstance(got[0], tuple) and got == hull_or_refusal(brute_hull_lattice, v)
 
 
 def test_dim0_faces_are_singletons():

@@ -99,6 +99,21 @@ def test_one_chain_recursion():
         assert found == counters
 
 
+def test_one_rank_per_hull():
+    # a face's dimension is its level below the polytope, so the hull
+    # ranks its rows once, for the full-dimensionality check, and no
+    # loop, comprehension or inner function of it can rank a face
+    tree = ast.parse((SRC / "polytope.py").read_text(), filename="polytope.py")
+    (hull,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "hull_lattice"]
+    inner = (ast.For, ast.While, ast.comprehension, ast.FunctionDef, ast.Lambda)
+    nested = {id(n) for scope in ast.walk(hull) if isinstance(scope, inner) and scope is not hull
+              for n in ast.walk(scope)}
+    ranks = [n for n in ast.walk(hull)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "matrix_rank"]
+    assert len(ranks) == 1, f"hull_lattice calls matrix_rank {len(ranks)} times"
+    assert id(ranks[0]) not in nested, f"matrix_rank in a loop at line {ranks[0].lineno}"
+
+
 def referenced_names(tree) -> Counter:
     """How often each identifier is read in the tree, as a name, an
     attribute or an import; strings, comments and definitions do not count."""
