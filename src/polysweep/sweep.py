@@ -25,7 +25,8 @@ the figure's cd-index, which the symmetric sweep reads.  ``_section_cd``
 counts the section's.  So the default sweeps cut nothing and build no
 lattice.  The deep sweep cuts and sweeps every figure and section, which
 checks that rule; the partition cuts the figures and sections whose
-blocks it reads.  A cut places a lattice read off the order by one
+blocks it reads where they are polygons or larger, and reads points and
+segments off the order.  A cut places a lattice read off the order by one
 builder, ``_lattice_over``: the star over the edges at v, the section
 over its 2-faces.
 

@@ -376,37 +376,49 @@ def test_deep_sweep_cross_validates():
 def test_routes_get_the_same_figures_and_sections(monkeypatch):
     """The cd sweep and the toric sweep get no vertex figure and no
     section: they read the figure's upper parts and the section values
-    off the lattice.  The partition gets each
-    figure it reads as the one object first built, and cuts each section
-    once."""
-    l = ps.hull_lattice(parse_input("pyramid:polygon:4"))
-    s = ps.choose_direction(None, l.coords)
-    got: dict = {}
+    off the lattice.  The partition gets each figure it reads as the one
+    object first built, and cuts each section it reads once.  It cuts
+    only the figures of levels of dimension >= 3 and the sections of
+    levels of dimension >= 4: on a 3-polytope no section and no figure
+    of a figure, on a 4-polytope a section at each middle vertex."""
+    for spec in ("pyramid:polygon:4", "pyramid:cube:3"):
+        l = ps.hull_lattice(parse_input(spec))
+        s = ps.choose_direction(None, l.coords)
+        got: dict = {}
+        below = []
 
-    def spy(kind, fn):
-        def wrapper(lat_, s_, vi):
-            out = fn(lat_, s_, vi)
-            if lat_ is l:
-                got.setdefault((kind, vi), []).append(out)
-            return out
-        return wrapper
+        def spy(kind, fn):
+            def wrapper(lat_, s_, vi):
+                out = fn(lat_, s_, vi)
+                if lat_ is l:
+                    got.setdefault((kind, vi), []).append(out)
+                else:
+                    below.append((kind, lat_.dim))
+                return out
+            return wrapper
 
-    figure = spy("figure", sweep_mod.vertex_figure)
-    section = spy("section", sweep_mod.sweep_section)
-    for mod in (sweep_mod, partition_mod):
-        monkeypatch.setattr(mod, "vertex_figure", figure)
-        monkeypatch.setattr(mod, "sweep_section", section)
-    ps.cd_sweep(l, s)
-    ps.toric_sweep(l, s)
-    assert got == {}
-    ps.build_partition(l, s)
+        figure = spy("figure", sweep_mod.vertex_figure)
+        section = spy("section", sweep_mod.sweep_section)
+        for mod in (sweep_mod, partition_mod):
+            monkeypatch.setattr(mod, "vertex_figure", figure)
+            monkeypatch.setattr(mod, "sweep_section", section)
+        ps.cd_sweep(l, s)
+        ps.toric_sweep(l, s)
+        assert got == {} and below == []
+        ps.build_partition(l, s)
 
-    for objs in got.values():
-        assert all(o is objs[0] for o in objs)
-    middle = [vi for vi in range(l.n_vertices) if all(sweep_mod._up_down(l, s, vi)[:2])]
-    assert middle
-    for vi in middle:
-        assert len(got[("figure", vi)]) >= 3 and len(got[("section", vi)]) == 1
+        for objs in got.values():
+            assert all(o is objs[0] for o in objs)
+        middle = [vi for vi in range(l.n_vertices) if all(sweep_mod._up_down(l, s, vi)[:2])]
+        assert middle
+        cut = [vi for kind, vi in got if kind == "section"]
+        if l.dim == 3:
+            assert cut == [] and below == []
+            assert all(len(got[("figure", vi)]) >= 2 for vi in middle)
+        else:
+            assert sorted(cut) == middle
+            assert all(len(got[("figure", vi)]) >= 3 for vi in middle)
+            assert below and all(kind == "figure" and dim == 3 for kind, dim in below)
 
 
 def test_figure_memo_keys_on_the_direction():

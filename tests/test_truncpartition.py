@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import polysweep as ps
+import polysweep.sweep as sweep_mod
 import polysweep.truncpartition as tp
+from cli_compare import DIRECTIONS as CORPUS_DIRECTIONS
+from cli_compare import SPECS as CORPUS_SPECS
 from conftest import default_direction, ladder_slopes, lat
-from polysweep.cli import main
+from cut_partition import cut_blocks
+from polysweep.cli import main, parse_direction, parse_input
 from polysweep.errors import CrossCheckError
 from polysweep.flagvec import CDPolynomial, cd_index, flag_f
 from polysweep.sweep import _up_down, cd_sweep, choose_direction, vertex_figure
@@ -293,9 +300,118 @@ def partition_calls(monkeypatch, spec) -> int:
 
 
 def test_partition_builds_only_the_figure_blocks_it_reads(monkeypatch):
-    # 448 and 457 when every figure was partitioned in full
-    assert partition_calls(monkeypatch, "cube:4") == 161
-    assert partition_calls(monkeypatch, "cross:4") == 145
+    # 448 and 457 when every figure was partitioned in full, 161 and 145
+    # when the figures of polygons and the sections of 3-polytopes were
+    # still cut and partitioned
+    assert partition_calls(monkeypatch, "cube:4") == 47
+    assert partition_calls(monkeypatch, "cross:4") == 31
+
+
+SMALL_SPECS = [spec for spec, d in CORPUS_SPECS.items() if d <= 4]
+
+
+def corpus_directions(l):
+    """The ladder and, above dimension 0, the corpus direction."""
+    yield ps.choose_direction(None, l.coords)
+    if l.dim:
+        yield ps.choose_direction(parse_direction(CORPUS_DIRECTIONS[l.dim]), l.coords)
+
+
+def assert_cut_blocks(l, s):
+    got = [(b.word, b.owner, b.faces) for b in build_partition(l, s)]
+    assert got == cut_blocks(l, s)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_partition_equals_the_cut_partition_on_the_corpus(spec):
+    # block by block, word, owner and chains, the partition that reads
+    # points and segments off the order equals the one that cuts them
+    l = lat(spec)
+    for s in corpus_directions(l):
+        assert_cut_blocks(l, s)
+
+
+@st.composite
+def small_polytopes(draw):
+    """A polytope of dimension 1-4: random integer points, each point the
+    hull rejects as a non-vertex dropped, or the polar of one."""
+    d = draw(st.integers(1, 4))
+    pts = draw(st.lists(
+        st.tuples(*[st.integers(-4, 4)] * d), min_size=d + 1, max_size=d + 3, unique=True
+    ))
+    while True:
+        try:
+            l = ps.hull_lattice(ps.VRep(d, tuple(pts)))
+            break
+        except ps.NonVertexPoint as e:
+            del pts[e.index]
+        except ps.NotFullDimensional:
+            assume(False)
+    if draw(st.booleans()):
+        l = ps.hull_lattice(ps.polar_dual(l))
+    return l
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polytopes(), st.data())
+def test_partition_equals_the_cut_partition_on_random_polytopes(l, data):
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    p = data.draw(st.tuples(*[entries] * l.dim))
+    try:
+        s = ps.choose_direction(p, l.coords)
+    except ps.NotGeneric:
+        assume(False)
+    event(f"dimension {l.dim}")
+    assert_cut_blocks(l, s)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_polygon_blocks_in_closed_form(k):
+    # the lowest vertex owns c^2, the figure of its two up-edges; each
+    # vertex strictly between owns d, its section; the highest owns none
+    l = lat(f"polygon:{k}")
+    rng = random.Random(k)
+    directions = []
+    while len(directions) < 4:
+        try:
+            p = (F(rng.randint(-20, 20), rng.randint(1, 9)), rng.choice((-1, 1)))
+            directions.append(ps.choose_direction(p, l.coords))
+        except ps.NotGeneric:
+            pass
+    for s in directions:
+        order = sweep_order(s)
+        blocks = build_partition(l, s)
+        assert sorted((b.word, len(b.faces)) for b in blocks) == [("cc", 9)] + [("d", 4)] * (k - 2)
+        assert next(b.owner for b in blocks if b.word == "cc") == order[0]
+        assert sorted(b.owner for b in blocks if b.word == "d") == sorted(order[1:-1])
+        assert sum(len(b.faces) for b in blocks) == 4 * k + 1
+        words = sum((CDPolynomial.word(b.word) for b in blocks), CDPolynomial.zero())
+        assert words == CDPolynomial({"cc": 1, "d": k - 2})
+
+
+def test_partition_cuts_no_point_and_no_segment(monkeypatch):
+    """checked_partition asks for a vertex figure only on lattices of
+    dimension >= 3 and for a cut section only on lattices of dimension
+    >= 4: figures and sections of lower dimension are points and
+    segments, read off the order."""
+    asked = []
+
+    def spy(name, fn):
+        def wrapper(lat_, s, vi):
+            asked.append((name, lat_.dim))
+            return fn(lat_, s, vi)
+        return wrapper
+
+    for name in ("vertex_figure", "sweep_section"):
+        for mod in (sweep_mod, tp):
+            monkeypatch.setattr(mod, name, spy(name, getattr(sweep_mod, name)))
+    for spec in SMALL_SPECS:
+        l = ps.hull_lattice(parse_input(spec))
+        for s in corpus_directions(l):
+            _, _, report = checked_partition(l, s)
+            assert report.ok, spec
+    least = {name: min(dim for n, dim in asked if n == name) for name, _ in asked}
+    assert least == {"vertex_figure": 3, "sweep_section": 4}
 
 
 def install_inner_mutant(monkeypatch, kind) -> list:
