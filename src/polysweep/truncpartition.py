@@ -46,6 +46,7 @@ from .sweep import (
     LOWER,
     UPPER,
     SweepDirection,
+    _crossing,
     _up_down,
     classify_face,
     map_chain,
@@ -127,8 +128,9 @@ def _top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
         # its top, and one down-edge, its bottom
         up = _up_down(l, s, vi)[0]
         side = [j for j in inside if bool(up >> edges[j] & 1) == want_top]
-        if len(side) == 1:
-            return (chain[0], edges[side[0]]) + rest
+        if len(side) != 1:
+            raise CrossCheckError(f"2-face {f2} of chain {chain} does not cross the sweep at v")
+        return (chain[0], edges[side[0]]) + rest
     # the figure's sub-vertex j is on the j-th edge at v, at a positive
     # multiple of its slope
     heights = vertex_figure(l, s, vi).direction.heights
@@ -264,7 +266,7 @@ def _section_blocks(lat: FaceLattice, s: SweepDirection, vi: int, up: int, down:
     at v holding an edge either way (a polygon's one, a 3-polytope's
     two), read off the order."""
     if lat.dim <= 3:
-        mids = [f for f in lat.faces_at_vertex(vi, 2) if lat.down[f] & up and lat.down[f] & down]
+        mids = [f for f in bits(_crossing(lat, vi, up, down)) if lat.dims[f] == 2]
         if len(mids) != lat.dim - 1:
             raise CrossCheckError(
                 f"the section at vertex {vi} has {len(mids)} vertices, not {lat.dim - 1}"

@@ -381,6 +381,7 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
     only the figures of levels of dimension >= 3 and the sections of
     levels of dimension >= 4: on a 3-polytope no section and no figure
     of a figure, on a 4-polytope a section at each middle vertex."""
+    real_figure, real_section = sweep_mod.vertex_figure, sweep_mod.sweep_section
     for spec in ("pyramid:polygon:4", "pyramid:cube:3"):
         l = ps.hull_lattice(parse_input(spec))
         s = ps.choose_direction(None, l.coords)
@@ -397,8 +398,8 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
                 return out
             return wrapper
 
-        figure = spy("figure", sweep_mod.vertex_figure)
-        section = spy("section", sweep_mod.sweep_section)
+        figure = spy("figure", real_figure)
+        section = spy("section", real_section)
         for mod in (sweep_mod, partition_mod):
             monkeypatch.setattr(mod, "vertex_figure", figure)
             monkeypatch.setattr(mod, "sweep_section", section)
@@ -417,6 +418,7 @@ def test_routes_get_the_same_figures_and_sections(monkeypatch):
             assert all(len(got[("figure", vi)]) >= 2 for vi in middle)
         else:
             assert sorted(cut) == middle
+            assert all(len(got[("section", vi)]) == 1 for vi in middle)
             assert all(len(got[("figure", vi)]) >= 3 for vi in middle)
             assert below and all(kind == "figure" and dim == 3 for kind, dim in below)
 
