@@ -12,10 +12,13 @@ shared freely.
 The elimination is fraction-free: each row is scaled to integers by the
 lcm of its denominators (``integer_multiple``, the one such rule, which
 the hull and the vertex figures call too; a row of ints is its own
-multiple and reads no denominator), rows are combined with integer
-multipliers, and every combined row is divided by its content.
-Ranks and kernel vectors therefore come out of integer arithmetic alone,
-and a kernel line is a primitive int tuple.
+multiple and reads no denominator), and one forward pass of Bareiss
+elimination (1968) combines the rows with integer multipliers and
+divides each combined row by the previous pivot, a division that is
+always exact.  No row is divided by its content.  A kernel vector is
+back-substituted in ints and divided by its content once.  Ranks and
+kernel vectors therefore come out of integer arithmetic alone, and a
+kernel line is a primitive int tuple.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def vscale(c, a: QVector) -> QVector:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free Gauss-Jordan elimination.
+# Fraction-free elimination (Bareiss).
 
 
 def integer_multiple(v: QVector) -> tuple[tuple, int]:
@@ -107,44 +110,47 @@ def integer_multiple(v: QVector) -> tuple[tuple, int]:
     return tuple([x.numerator * (m // x.denominator) for x in v]), m
 
 
-def _integer_row(row) -> tuple:
-    """The row's integer multiple divided by its content; a zero row
-    stays zero."""
-    ints, _ = integer_multiple(row)
-    g = gcd(*ints)
-    return tuple([x // g for x in ints]) if g > 1 else ints
-
-
 def primitive(v: QVector) -> tuple:
     """The positive multiple of a nonzero rational vector with integer
     entries of content 1."""
-    ints = _integer_row(v)
-    if not any(ints):
+    ints, _ = integer_multiple(v)
+    g = gcd(*ints)
+    if not g:
         raise ValueError("the zero vector has no primitive multiple")
-    return ints
+    return tuple([x // g for x in ints]) if g > 1 else ints
 
 
-def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer Gauss-Jordan: (pivot rows, pivot columns).  Pivot row r
-    has content 1 and is zero in every pivot column except pivots[r]."""
-    m = [r for r in map(_integer_row, rows) if any(r)]
+def _eliminate(rows, ncols: int) -> tuple[list, list[int]]:
+    """Bareiss elimination, one forward pass: (echelon rows, pivot
+    columns).  Echelon row r is zero left of pivots[r], and its entry
+    there is the minor of the (swapped) rows 0..r on pivot columns 0..r."""
+    m = [r for r, _ in map(integer_multiple, rows) if any(r)]
+    n = len(m)
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
-        if r == len(m):
+        if r == n:
             break
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, n):
+            if m[pr][c]:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         p = prow[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+        # every row below is scaled by p and divided by the previous
+        # pivot, the ones already zero at c too: by Sylvester's identity
+        # each division is exact, and the entries stay minors; a row zero
+        # at c stays as it is only when p is the previous pivot
+        for i in range(r + 1, n):
+            f = m[i][c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in m[i]]
+        prev = p
         pivots.append(c)
     return m[: len(pivots)], pivots
 
@@ -172,15 +178,16 @@ def primitive_kernel(rows, ncols: int) -> tuple | None:
     echelon, pivots = _eliminate(rows, ncols)
     if len(pivots) != ncols - 1:
         return None
-    # x[free] = L and x[pivot c] = -row[free] * L / row[c] solve every
-    # row; L, the lcm of the pivots, keeps them integral
+    # x[free] is the last pivot, the determinant of the pivot rows on the
+    # pivot columns, so the solution is integral (Cramer) and back-
+    # substitution divides exactly; row.x sums the columns right of c,
+    # as the row is zero left of c and x[c] is still 0
     (free,) = set(range(ncols)).difference(pivots)
-    big = lcm(*(row[c] for row, c in zip(echelon, pivots)))
     x = [0] * ncols
-    x[free] = big
-    for row, c in zip(echelon, pivots):
-        x[c] = -row[free] * (big // row[c])
-    # divided by its content, signed to make the first nonzero entry
-    # positive; x[free] is nonzero, so the content is too
+    x[free] = echelon[-1][pivots[-1]] if echelon else 1
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        x[c] = -sum(map(mul, row, x)) // row[c]
+    # divided by its content once, signed to make the first nonzero
+    # entry positive; x[free] is nonzero, so the content is too
     g = gcd(*x) if next(e for e in x if e) > 0 else -gcd(*x)
     return tuple([e // g for e in x])

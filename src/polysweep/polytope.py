@@ -9,9 +9,9 @@ time (Kaibel & Pfetsch 2002): the facets of a k-face are its
 inclusion-maximal proper intersections with the facets of the
 polytope, and each face's dimension is its level, so the rows are
 ranked once, to check that the points span R^d.  Measured on one core
-of a 2-core Xeon: about 0.03 s at 16 vertices in dimension 4, 0.04 s
-for simplex:11, 0.15 s for cross:7, 0.25-0.3 s at 24-25 vertices in
-dimension 4, and 4.3 s for cube:5.
+of a 2-core Xeon: about 0.02 s at 16 vertices in dimension 4, 0.04 s
+for simplex:11, 0.14 s for cross:7, 0.18-0.21 s at 24-25 vertices in
+dimension 4, and 3.1 s for cube:5.
 
 A lattice uses two encodings, both Python ints used as bitsets.  A face
 *is* its vertex set, a mask over vertex indices, so deduplication and
@@ -32,7 +32,9 @@ from math import gcd
 from operator import or_
 
 from .errors import CrossCheckError, NonVertexPoint, NotFullDimensional
-from .exactnum import QVector, dot, exact, integer_multiple, matrix_rank, primitive_kernel
+from .exactnum import (
+    MAX_NUMERAL_DIGITS, QVector, dot, exact, matrix_rank, primitive, primitive_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,10 @@ def hull_lattice(v: VRep) -> FaceLattice:
     # denominators: the rank of rows is one more than the affine rank of
     # their points, and a kernel vector (normal, offset) of d affinely
     # independent rows is their hyperplane normal.x = offset, whose dot
-    # with any row has the sign of normal.p - offset
-    rows = []
-    for p in pts:
-        ints, m = integer_multiple(p)
-        rows.append((*ints, -m))
+    # with any row has the sign of normal.p - offset.  Each row is divided
+    # by its content once, here, which changes no rank, kernel or sign,
+    # so the subset loop hands the rows to the kernel as they are
+    rows = [primitive((*p, -1)) for p in pts]
     rank = matrix_rank(rows) - 1
     if rank != d:
         raise NotFullDimensional(f"points span dimension {rank}, not {d}")
@@ -376,8 +377,11 @@ def is_eulerian(l: FaceLattice) -> bool:
 
 def _json_coordinate(x):
     """An int or a rational string, read by ``exact`` as a numeral, so
-    that its size is bounded.  A JSON float is refused: its binary value
+    that its size is bounded; an int of at most MAX_NUMERAL_DIGITS
+    digits is taken as it is.  A JSON float is refused: its binary value
     is rarely the number written (0.1 is not 1/10)."""
+    if type(x) is int and abs(x) < 10**MAX_NUMERAL_DIGITS:
+        return x
     if type(x) is int or isinstance(x, str):
         return exact(str(x))
     raise TypeError(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckError
 from .flagvec import CDPolynomial, FlagVector, ab_from_cd, ab_index, cd_index, flag_h
-from .polytope import FaceLattice, bits
+from .polytope import FaceLattice, bits, memoized
 from .sweep import (
     LOWER,
     UPPER,
@@ -98,7 +98,10 @@ def _has_vertex_entry(l: FaceLattice, chain: Chain) -> bool:
     return bool(chain) and l.dims[chain[0]] == 0
 
 
+@memoized
 def _extreme_vertex(l: FaceLattice, s: SweepDirection, fi: int, want_max: bool) -> int:
+    """The highest or lowest vertex of face fi, read once per level,
+    direction, face and end: many chains share their minimal face."""
     vs = l.vertices_of(fi)
     key = s.heights.__getitem__
     return max(vs, key=key) if want_max else min(vs, key=key)

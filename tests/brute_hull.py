@@ -4,16 +4,78 @@ reference that ``polysweep.polytope.hull_lattice`` is tested against.
 No library code calls it; it is kept as an oracle.  It tries every
 d-subset of the integer rows for a facet, as the library still does,
 then closes the facet vertex sets under intersection and gives each
-face the rank of its rows, one elimination per face.
+face the rank of its rows, one elimination per face.  Its ranks and
+kernels come from its own copy of the integer Gauss-Jordan elimination
+that ``polysweep.exactnum`` used before its Bareiss kernel, so that the
+hull and its oracle share no elimination.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from polysweep.errors import NonVertexPoint, NotFullDimensional
-from polysweep.exactnum import dot, exact, integer_multiple, matrix_rank, primitive_kernel
+from polysweep.exactnum import dot, exact, integer_multiple
 from polysweep.polytope import FaceLattice, VRep, bits
+
+
+def _integer_row(row) -> tuple:
+    """The row's integer multiple divided by its content; a zero row
+    stays zero."""
+    ints, _ = integer_multiple(row)
+    g = gcd(*ints)
+    return tuple([x // g for x in ints]) if g > 1 else ints
+
+
+def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan: (pivot rows, pivot columns).  Pivot row r
+    has content 1 and is zero in every pivot column except pivots[r]."""
+    m = [r for r in map(_integer_row, rows) if any(r)]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def matrix_rank(rows) -> int:
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def primitive_kernel(rows, ncols: int) -> tuple | None:
+    """The primitive integer vector spanning the kernel of the rows,
+    first nonzero entry positive; None unless the rows have rank
+    ncols - 1."""
+    echelon, pivots = _eliminate(rows, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    # x[free] = L and x[pivot c] = -row[free] * L / row[c] solve every
+    # row; L, the lcm of the pivots, keeps them integral
+    (free,) = set(range(ncols)).difference(pivots)
+    big = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    x = [0] * ncols
+    x[free] = big
+    for row, c in zip(echelon, pivots):
+        x[c] = -row[free] * (big // row[c])
+    g = gcd(*x) if next(e for e in x if e) > 0 else -gcd(*x)
+    return tuple([e // g for e in x])
 
 
 def brute_hull_lattice(v: VRep) -> FaceLattice:

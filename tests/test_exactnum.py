@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import vec
@@ -118,21 +118,36 @@ def test_rational_arithmetic_exact(a, b, c):
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+huge = st.integers(-(10**30), 10**30)
+sparse = st.sampled_from((F(0), F(0), F(0), F(1), F(-1), F(2), F(-3)))
 
 
 @st.composite
 def rank_deficient_rows(draw):
-    """(ncols, rows): rational combinations of ncols - 2 to ncols random
-    rows, with repeated rows and zero rows mixed in; or each of those
-    rows scaled by the lcm of its denominators and made plain ints by
-    ``exact``, which keeps the rank and the kernel."""
-    n = draw(st.integers(2, 5))
-    basis = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+    """(ncols, rows), 2 to 7 columns: combinations of ncols - 2 to ncols
+    random rows, with repeated rows and zero rows mixed in.  The random
+    rows have small rational entries, ints of up to 30 digits, or mostly
+    zeros (then the combinations are mostly zero too), so that a row is
+    often zero in a pivot column.  A column may then be zeroed, so that
+    no pivot is found in it (the leading one included), or be made a
+    multiple of an earlier column, so that the free column need not be
+    the last.  Or each row is scaled by the lcm of its denominators and
+    made plain ints by ``exact``, which keeps the rank and the kernel."""
+    n = draw(st.integers(2, 7))
+    entries = draw(st.sampled_from((small, huge, sparse)))
+    basis = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                           min_size=max(n - 2, 0), max_size=n))
     rows = []
     for _ in range(draw(st.integers(1, n + 2))):
-        coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        coeffs = draw(st.lists(sparse if entries is sparse else small,
+                               min_size=len(basis), max_size=len(basis)))
         rows.append([sum((c * b[i] for c, b in zip(coeffs, basis)), F(0)) for i in range(n)])
+    column = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 1), st.integers(-1, n - 2),
+                                                 st.integers(-3, 3))))
+    if column is not None:
+        j, i, k = column  # column j becomes 0, or k times column i < j
+        for r in rows:
+            r[j] = k * r[i] if 0 <= i < j else F(0)
     extra = draw(st.lists(st.sampled_from(rows), max_size=2))
     zeros = [[F(0)] * n] * draw(st.integers(0, 1))
     order = draw(st.permutations(rows + extra + zeros))
@@ -141,8 +156,27 @@ def rank_deficient_rows(draw):
     return n, list(order)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rank_deficient_rows(), st.lists(small, min_size=5, max_size=5))
+def thirty_digit_rows() -> list:
+    """Six rows of seven columns, ints of 30 digits, whose fourth column
+    is column 0 + 2 column 1 - 3 column 2: the free column is the fourth
+    and the kernel is (1, 2, -3, -1, 0, 0, 0)."""
+    rows = []
+    for i in (0, 1, 2, 4, 5, 6):
+        r = [10**30 - 7 if i == j else (7 * i + j) % 5 * 10**29 for j in range(7)]
+        r[3] = r[0] + 2 * r[1] - 3 * r[2]
+        rows.append(r)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient_rows(), st.lists(small, min_size=7, max_size=7))
+# a zero leading column: no pivot in column 0, which is free
+@example((4, [[0, 2, 2, -1], [0, 0, 1, -1], [0, 3, 1, 1]]), [0] * 7)
+# the free column is the third of four, and the last row is zero in the
+# first two pivot columns: it must still be scaled by their pivots
+@example((4, [[1, 2, 2, -2], [-2, 3, 1, 3], [0, 0, 0, 2]]), [0] * 7)
+# seven columns of ints of 30 digits, the free one in the middle
+@example((7, thirty_digit_rows()), [1, -2, 3, 0, 5, 7, -1])
 def test_integer_kernel_matches_the_fraction_oracle(case, offset):
     n, rows = case
     rank = fraction_rank(rows)

@@ -12,6 +12,7 @@ from cli_compare import SPECS as CORPUS_SPECS
 from conftest import default_direction, eliminated_facets, lat, validate, vec, vrep_to_json
 from polysweep.cli import parse_direction, parse_input
 from polysweep.errors import InputError, NonVertexPoint, NotFullDimensional
+from polysweep.exactnum import MAX_NUMERAL_DIGITS
 from polysweep.polytope import (
     FaceLattice,
     VRep,
@@ -380,6 +381,23 @@ def test_vrep_json_roundtrip():
     obj = vrep_to_json(v)
     assert obj["vertices"][2] == ["1/2", "3/7"]
     assert vrep_from_json(obj) == v
+
+
+def test_json_int_coordinates_are_read_as_themselves():
+    # an int of at most MAX_NUMERAL_DIGITS digits is taken as it is; a
+    # longer one is refused as its numeral string is
+    n = MAX_NUMERAL_DIGITS
+    edge = 10**n - 1
+    v = vrep_from_json({"dim": 1, "vertices": [[-edge], [edge]]})
+    assert v.vertices == ((-edge,), (edge,))
+    assert all(type(p[0]) is int for p in v.vertices)
+    for x in (10**n, -(10**n), 10 ** (n + 5)):
+        with pytest.raises(InputError) as as_int:
+            vrep_from_json({"dim": 1, "vertices": [[0], [x]]})
+        with pytest.raises(InputError) as as_text:
+            vrep_from_json({"dim": 1, "vertices": [[0], [str(x)]]})
+        assert f"at most {n} digits" in str(as_int.value)
+        assert str(as_int.value) == str(as_text.value)
 
 
 # builtin specs of every family named in the tests and README, dimension <= 4

@@ -114,6 +114,37 @@ def test_one_rank_per_hull():
     assert id(ranks[0]) not in nested, f"matrix_rank in a loop at line {ranks[0].lineno}"
 
 
+def test_hull_rows_are_made_primitive_once():
+    # each point's row is scaled to integers and divided by its content
+    # before the subset loop, which hands the rows to the kernel as they
+    # are: in the loop no row, nor a name bound to rows by a loop or a
+    # comprehension, is scaled, multiplied, floor-divided or given to gcd
+    tree = ast.parse((SRC / "polytope.py").read_text(), filename="polytope.py")
+    (hull,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "hull_lattice"]
+    (loop,) = [n for n in ast.walk(hull)
+               if isinstance(n, ast.For) and "combinations" in ast.unparse(n.iter)]
+    row_names = {"rows"}
+    for _ in range(3):  # names bound by iterating rows, or a subset of them
+        row_names |= {name.id for n in ast.walk(loop) if isinstance(n, (ast.For, ast.comprehension))
+                      and row_names & set(referenced_names(n.iter))
+                      for name in ast.walk(n.target) if isinstance(name, ast.Name)}
+
+    def reads_a_row(node) -> bool:
+        return bool(row_names & set(referenced_names(node)))
+
+    found = [
+        ast.unparse(n) for n in ast.walk(loop)
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("integer_multiple", "primitive"))
+        or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "gcd" and reads_a_row(n))
+        or (isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.FloorDiv))
+            and reads_a_row(n))
+    ]
+    assert not found, f"hull_lattice scales rows in its subset loop: {found}"
+    contents = [n for n in ast.walk(hull) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) in ("gcd", "primitive") and n.lineno < loop.lineno]
+    assert contents, "hull_lattice takes no content before its subset loop"
+
+
 def referenced_names(tree) -> Counter:
     """How often each identifier is read in the tree, as a name, an
     attribute or an import; strings, comments and definitions do not count."""
