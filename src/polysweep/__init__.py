@@ -51,7 +51,6 @@ from .sweep import (
     cd_sweep,
     cd_sweep_symmetric,
     choose_direction,
-    classify_face,
     min_vertex_partition,
     simple_h_by_outdegree,
     support_normal,

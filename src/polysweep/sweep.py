@@ -11,11 +11,14 @@ vertex v the machinery builds
 * the section: the vertex figure sliced by the sweep hyperplane through
   v, whose faces are the faces that v neither tops nor bottoms.
 
-One rule, ``_up_down``, says which edges at v go up and which go down;
-every "above v", "upper", "lower" or "middle" reads it.  The figure's
-faces are the star [v, P], the section's {v} and the faces at v holding
-an up-edge and a down-edge; a sweep counts their chains off the parent's
-order, without coordinates, by ``flagvec.chain_counts``.
+One rule, ``_up_down``, splits the faces at v: which edges at v go up
+and which go down, which faces rise from v (they hold no down-edge at v,
+so v is their lowest vertex) and which cross the sweep hyperplane
+through v (they hold an edge either way); the rest fall to v.  Every
+sweep, section and partition block reads that split as it is.  The
+figure's faces are the star [v, P], the section's {v} and the crossing
+faces; a sweep counts their chains off the parent's order, without
+coordinates, by ``flagvec.chain_counts``.
 
 The recursive sweep needs at v the sum of the figure's parts over its
 sub-vertices above v.  By Stanley's S-shelling that sum depends only on
@@ -41,7 +44,7 @@ int coordinates.
 With a the support normal and gap_j = a.(v - w_j) > 0 for the j-th edge
 at v, from v to w_j, the figure's sub-vertex j is (w_j - v)(T / gap_j),
 T the lcm of the gaps.  A section's sub-vertex k is where the figure's
-edge in the k-th middle 2-face crosses height 0, scaled the same way.
+edge in the k-th crossing 2-face crosses height 0, scaled the same way.
 Dropping one coordinate k projects the cut plane injectively.  A cut's
 facets are cut from the parent's, so their normals are inherited: the
 parent's outward normal restricted to the cut plane, made primitive.
@@ -54,9 +57,9 @@ less σ T p_k, it gives sub-vertex j the height |a_k| T slope(e_j), with
 slope(e_j) = (height(w_j) - height(v)) / gap_j and v at 0.  The support
 normal is the first on a ladder that makes these distinct.
 
-The star is kept per vertex and placed once per support normal, and a
-section's lattice and cd-index per vertex and split of the edges at v.
-s and -s negate every slope and share all of these.
+The star is kept per vertex and placed once per support normal, a
+section's lattice per vertex and crossing set, and its cd-index per
+crossing set.  s and -s negate every slope and share all of these.
 """
 
 from __future__ import annotations
@@ -77,9 +80,6 @@ from .polytope import (
     facet_hyperplanes,
     memoized,
 )
-
-UPPER, MIDDLE, LOWER = "upper", "middle", "lower"
-
 
 @dataclass(frozen=True)
 class SweepDirection:
@@ -300,11 +300,15 @@ def vertex_figure(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope:
 
 @memoized
 def _up_down(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple:
-    """(up, down, above): the face-index masks of the edges at vi whose
-    other end is higher, lower, and the positions j of the up-edges among
-    the edges at vi, the vertex figure's sub-vertices above v.  A face at
-    v rises from v when its edges at v all go up, falls to v when they
-    all go down, and crosses the sweep hyperplane through v otherwise."""
+    """(up, down, above, rising, crossing): the one split of the faces at
+    vi.  up and down are the face-index masks of the edges at vi whose
+    other end is higher or lower, above the positions j of the up-edges
+    among the edges at vi, the vertex figure's sub-vertices above v.
+    rising and crossing are face-index masks over the faces at vi of
+    dimension >= 1: a face rises from v, v its lowest vertex, when it
+    holds no down-edge at v, crosses the sweep hyperplane through v when
+    it holds an edge either way, and falls to v otherwise.  Only a face
+    of dimension >= 2 can cross."""
     up = down = 0
     above = []
     for j, e in enumerate(lat.faces_at_vertex(vi, 1)):
@@ -313,23 +317,13 @@ def _up_down(lat: FaceLattice, s: SweepDirection, vi: int) -> tuple:
             above.append(j)
         else:
             down |= 1 << e
-    return up, down, tuple(above)
-
-
-def classify_face(lat: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
-    """upper if v bottoms the face, lower if v tops it, middle otherwise.
-
-    Equivalently: where the corresponding face of the truncated vertex
-    figure sits relative to the sweep hyperplane through v.
-    """
-    if not (lat.masks[fi] >> vi & 1 and lat.dims[fi] >= 1):
-        raise ValueError(f"face {fi} is not a face of dimension >= 1 at vertex {vi}")
-    up, down, _ = _up_down(lat, s, vi)
-    if not lat.down[fi] & down:
-        return UPPER
-    if not lat.down[fi] & up:
-        return LOWER
-    return MIDDLE
+    rising = crossing = 0
+    for i in bits(lat.up[lat.index[1 << vi]] & ~lat.level[0]):
+        if not lat.down[i] & down:
+            rising |= 1 << i
+        elif lat.down[i] & up:
+            crossing |= 1 << i
+    return up, down, tuple(above), rising, crossing
 
 
 @memoized
@@ -339,18 +333,12 @@ def _star(lat: FaceLattice, vi: int) -> tuple:
 
 
 @memoized
-def _split_section(lat: FaceLattice, vi: int, one: int, other: int) -> tuple:
-    """(lattice, face map) of the section at vi for a split of the edges
-    at v: {v} and ``_crossing``, over the 2-faces among them, two
-    dimensions lower.  Kept per split, which s and -s share."""
-    faces = [lat.index[1 << vi], *bits(_crossing(lat, vi, one, other))]
-    return _lattice_over(lat, [i for i in faces if lat.dims[i] == 2], faces, 2)
-
-
-def _crossing(lat: FaceLattice, vi: int, one: int, other: int) -> int:
-    """The mask of the faces at vi holding an edge of each mask."""
-    at = bits(lat.up[lat.index[1 << vi]])
-    return sum(1 << i for i in at if lat.down[i] & one and lat.down[i] & other)
+def _split_section(lat: FaceLattice, vi: int, crossing: int) -> tuple:
+    """(lattice, face map) of the section at vi: {v} and the faces
+    ``crossing`` at v, over the 2-faces among them, two dimensions lower.
+    Kept per crossing set, which s and -s share."""
+    faces = [lat.index[1 << vi], *bits(crossing)]
+    return _lattice_over(lat, list(bits(crossing & lat.level[2])), faces, 2)
 
 
 @memoized
@@ -360,15 +348,15 @@ def sweep_section(lat: FaceLattice, s: SweepDirection, vi: int) -> SubPolytope |
     dimension 2 and when v is the lowest or highest vertex.  Only the
     deep sweep and the partition, which sweep sections, cut them.
 
-    Sub-vertex k is where the edge of Q in the k-th middle 2-face at v
+    Sub-vertex k is where the edge of Q in the k-th crossing 2-face at v
     crosses height 0, at (h1 y2 - h2 y1) / (h1 - h2) for an edge from y1
     to y2, scaled by the lcm of the h1 - h2.  The direction is the
     ladder's on the section's coordinates; the sweep is constant on it.
     """
-    up, down, _ = _up_down(lat, s, vi)
-    if lat.dim < 2 or not (up and down):
+    crossing = _up_down(lat, s, vi)[4]
+    if not crossing:
         return None
-    r, face_parent = _split_section(lat, vi, *sorted((up, down)))
+    r, face_parent = _split_section(lat, vi, crossing)
     qv = vertex_figure(lat, s, vi)
     q, ys, qheights = qv.lattice, qv.lattice.coords.vertices, qv.direction.heights
     # a section face is cut from Q's face over the same face; {v} is Q's empty one
@@ -414,7 +402,7 @@ def cd_sweep(
         return {0: CDPolynomial.one()}, CDPolynomial.one()
     per = {}
     for vi in range(lat.n_vertices):
-        up, down, above = _up_down(lat, s, vi)
+        up, _, above, rising, crossing = _up_down(lat, s, vi)
         if not up:  # the last vertex swept
             per[vi] = CDPolynomial.zero()
             continue
@@ -423,14 +411,14 @@ def cd_sweep(
             parts = cd_sweep(qv.lattice, qv.direction, True)[0]
             upper = sum((parts[j] for j in above), CDPolynomial.zero())
         else:
-            upper = _upper_sum(lat, vi, up)
+            upper = _upper_sum(lat, vi, rising, crossing)
         term = _C * upper
-        if lat.dim >= 2 and down:
+        if crossing:
             if deep:  # the section's sweep checks itself against its cd-index
                 rv = sweep_section(lat, s, vi)
                 val_r = cd_sweep(rv.lattice, rv.direction, True)[1]
             else:
-                val_r = _section_cd(lat, vi, *sorted((up, down)))
+                val_r = _section_cd(lat, crossing)
             term = term + _D * val_r
         per[vi] = term
     total = sum(per.values(), CDPolynomial.zero())
@@ -440,30 +428,27 @@ def cd_sweep(
 
 
 @memoized
-def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
+def _upper_sum(lat: FaceLattice, vi: int, rising: int, crossing: int) -> CDPolynomial:
     """The sum of the vertex figure's parts over its sub-vertices above
-    v, those on the edges at v in the mask up, read off lat's order: by
-    Stanley's S-shelling, the cd-index of the chains of faces strictly
-    between {v} and P owned above v in the partition of the figure's
-    truncation: the chains of the faces at v of dimension >= 1 topped by
-    P, G ranked dim G - 1 as in the figure, where the chain of G alone
-    counts when every edge of G at v goes up, and G's chains through an
-    edge count one fewer when G holds an up- and a down-edge at v.  With
-    every edge up, all count: the figure's cd-index.  Counts that are no
-    cd-index are a fault of the engine, and raise CrossCheckError.
-    ``cd_sweep`` attaches c to this polynomial as it is; memoized per
-    vertex and set of up-edges, so the cd and toric sweeps of lat share
-    it."""
-    v = lat.index[1 << vi]
-    down = lat.up[v] & lat.level[1] & ~up
+    v, read off lat's order: by Stanley's S-shelling, the cd-index of the
+    chains of faces strictly between {v} and P owned above v in the
+    partition of the figure's truncation: the chains of the faces at v of
+    dimension >= 1 topped by P, G ranked dim G - 1 as in the figure,
+    where the chain of G alone counts when G is in the mask rising, and
+    G's chains through an edge count one fewer when G is in the mask
+    crossing (``_up_down``).  With every face rising, all count: the
+    figure's cd-index.  Counts that are no cd-index are a fault of the
+    engine, and raise CrossCheckError.  ``cd_sweep`` attaches c to this
+    polynomial as it is; memoized per vertex and split, so the cd and
+    toric sweeps of lat share it."""
 
     def seed(i):
-        chains = [int(not lat.down[i] & down)] + [0] * ((1 << (lat.dims[i] - 1)) - 1)
-        if lat.dims[i] >= 2 and lat.down[i] & up and lat.down[i] & down:
+        chains = [rising >> i & 1] + [0] * ((1 << (lat.dims[i] - 1)) - 1)
+        if crossing >> i & 1:
             chains[1] = -1
         return chains
 
-    f = chain_counts(lat, lat.up[v] & ~lat.level[0], 1, seed)
+    f = chain_counts(lat, lat.up[lat.index[1 << vi]] & ~lat.level[0], 1, seed)
     try:
         return cd_from_ab(flag_h(f))
     except NotCDExpressible as e:
@@ -471,12 +456,11 @@ def _upper_sum(lat: FaceLattice, vi: int, up: int) -> CDPolynomial:
 
 
 @memoized
-def _section_cd(lat: FaceLattice, vi: int, one: int, other: int) -> CDPolynomial:
-    """The cd-index of the section at vi for the split of the edges at v
-    into the masks one and other: the chains of its nonempty faces, the
-    faces at v holding an edge of each, two dimensions lower.  Memoized
-    per split, which s and -s share."""
-    return cd_from_ab(flag_h(chain_counts(lat, _crossing(lat, vi, one, other), 2)))
+def _section_cd(lat: FaceLattice, crossing: int) -> CDPolynomial:
+    """The cd-index of the section whose nonempty faces are the faces
+    ``crossing`` at a vertex (``_up_down``): their chains, two dimensions
+    lower.  Memoized per crossing set, which s and -s share."""
+    return cd_from_ab(flag_h(chain_counts(lat, crossing, 2)))
 
 
 def cd_sweep_symmetric(
@@ -491,10 +475,11 @@ def cd_sweep_symmetric(
         return {0: CDPolynomial.one()}, CDPolynomial.one()
     per = {}
     for vi in range(lat.n_vertices):
-        up, down, _ = _up_down(lat, s, vi)
-        term = _C * _upper_sum(lat, vi, up | down)
-        if lat.dim >= 2 and up and down:
-            section = _section_cd(lat, vi, *sorted((up, down)))
+        crossing = _up_down(lat, s, vi)[4]
+        every = lat.up[lat.index[1 << vi]] & ~lat.level[0]
+        term = _C * _upper_sum(lat, vi, every, 0)
+        if crossing:
+            section = _section_cd(lat, crossing)
             term = term + (_D * 2 + _C * _C * -1) * section
         per[vi] = term * Fraction(1, 2)
     total = sum(per.values(), CDPolynomial.zero())
@@ -522,13 +507,11 @@ def simple_h_by_outdegree(lat: FaceLattice, s: SweepDirection) -> tuple:
 
 
 def min_vertex_partition(lat: FaceLattice, s: SweepDirection) -> dict:
-    """Assign every nonempty face to its height-minimal vertex.  For a
-    simple polytope the block at v has exactly 2^outdegree(v) faces."""
+    """Assign every nonempty face to its height-minimal vertex: v gets
+    {v} and the faces rising from v (``_up_down``).  For a simple
+    polytope the block at v has exactly 2^outdegree(v) faces."""
     _check_simple(lat)
-    blocks: dict[int, list] = {vi: [] for vi in range(lat.n_vertices)}
-    for i in range(len(lat.masks)):
-        if lat.dims[i] < 0:
-            continue
-        vmin = min(lat.vertices_of(i), key=lambda w: s.heights[w])
-        blocks[vmin].append(i)
-    return blocks
+    return {
+        vi: [lat.index[1 << vi], *bits(_up_down(lat, s, vi)[3])]
+        for vi in range(lat.n_vertices)
+    }

@@ -2,12 +2,14 @@
 
     python3 tests/cli_compare.py OLD_CHECKOUT NEW_CHECKOUT
 
-The corpus is 742 invocations: the 29 builtin specs named in `tests/`
+The corpus is 746 invocations: the 29 builtin specs named in `tests/`
 and README, each with describe, flag, extended, every cdindex and toric
 method, the recursive cdindex and toric sweeps with `--deep-sweep`,
 partition and verify (JSON and table); for dimension >= 1 the sweep
 methods, partition and verify again with a `--direction=...`; for
 dimension <= 4 `verify --deep-sweep`, and for dimension 4 again with a
+`--direction=...`; for dimension 5, whose partition cuts 3-dimensional
+sections, partition and verify with `--max-dim 5`, with and without a
 `--direction=...`.
 
 Each checkout runs in its own Python process with its `src/` first on
@@ -84,6 +86,11 @@ def invocations() -> list:
         if dim == 4:
             out.append(("verify", "--deep-sweep", "--input", spec,
                         f"--direction={DIRECTIONS[dim]}"))
+        if dim == 5:
+            for cmd in ("partition", "verify"):
+                out.append((cmd, "--max-dim", "5", "--input", spec))
+                out.append((cmd, "--max-dim", "5", "--input", spec,
+                            f"--direction={DIRECTIONS[dim]}"))
     return out
 
 

@@ -41,6 +41,19 @@ def default_direction(spec: str) -> ps.SweepDirection:
     return ps.choose_direction(None, lat(spec).coords)
 
 
+def height_side(l: ps.FaceLattice, s: ps.SweepDirection, vi: int, fi: int) -> str:
+    """Oracle for where face fi at vi, of dimension >= 1, lies against
+    the sweep hyperplane through vi, read off the heights of its
+    vertices: "rising" when vi is its lowest vertex, "falling" when vi is
+    its highest, "crossing" when vi lies strictly between."""
+    heights = [s.heights[w] for w in l.vertices_of(fi)]
+    if s.heights[vi] == min(heights):
+        return "rising"
+    if s.heights[vi] == max(heights):
+        return "falling"
+    return "crossing"
+
+
 def ladder_slopes(l: ps.FaceLattice, s: ps.SweepDirection, vi: int) -> tuple:
     """Oracle for the edge order at vi, over Fraction: (a, slopes) for
     the first functional a on the support normal ladder whose slopes are

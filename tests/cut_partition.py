@@ -7,22 +7,14 @@ at every vertex that owns a chain it cuts the section (``sweep_section``)
 and the vertex figure (``vertex_figure``) and partitions them
 recursively, points and segments included, and it picks the top or
 bottom edge of a chain inside its next face by the heights of the cut
-figure.  Its name does not start with ``test_``, so pytest does not
-collect it.
+figure.  It classifies each face at a vertex itself, from the edges at
+v, rather than reading the split ``_up_down`` makes of the faces.  Its
+name does not start with ``test_``, so pytest does not collect it.
 """
 
 from polysweep.errors import CrossCheckError
 from polysweep.polytope import FaceLattice, bits
-from polysweep.sweep import (
-    LOWER,
-    UPPER,
-    SweepDirection,
-    _up_down,
-    classify_face,
-    map_chain,
-    sweep_section,
-    vertex_figure,
-)
+from polysweep.sweep import SweepDirection, _up_down, map_chain, sweep_section, vertex_figure
 from polysweep.truncpartition import (
     Chain,
     _extreme_vertex,
@@ -30,6 +22,18 @@ from polysweep.truncpartition import (
     _size_law,
     enumerate_chains,
 )
+
+
+def edge_side(l: FaceLattice, s: SweepDirection, vi: int, fi: int) -> str:
+    """Where face fi at vi lies against the sweep hyperplane through v,
+    read off its edges at v: "rising" with no down-edge, "falling" with
+    no up-edge, "crossing" with an edge either way."""
+    up, down = _up_down(l, s, vi)[:2]
+    if not l.down[fi] & down:
+        return "rising"
+    if not l.down[fi] & up:
+        return "falling"
+    return "crossing"
 
 
 def cut_top_bottom(l, s, chain: Chain, want_top: bool) -> Chain:
@@ -68,9 +72,9 @@ def cut_partition(lat: FaceLattice, s: SweepDirection, wanted) -> list:
     for w in wanted:
         v = lat.index[1 << w]
         for fi in bits(lat.up[v] & ~(1 << v)):
-            cls = classify_face(lat, s, w, fi)
-            if cls != LOWER:
-                head = () if cls == UPPER else (v,)
+            side = edge_side(lat, s, w, fi)
+            if side != "falling":
+                head = () if side == "rising" else (v,)
                 if fi == full:
                     singles.append(head)
                 else:

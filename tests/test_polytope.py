@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -291,6 +292,47 @@ def test_geometry_of_a_lattice_without_coordinates_raises():
 def test_is_eulerian():
     assert ps.is_eulerian(lat("cube:3"))
     assert ps.is_eulerian(lat("polygon:5"))
+
+
+def eulerian_by_every_interval(l: FaceLattice) -> bool:
+    """Oracle for ``is_eulerian``: every interval of rank >= 1, of odd
+    rank too, has equally many elements of even and odd rank."""
+    even = sum(m for k, m in l.level.items() if k % 2 == 0)
+    for i, u in enumerate(l.up):
+        for j in bits(u & ~(1 << i)):
+            interval = u & l.down[j]
+            if 2 * (interval & even).bit_count() != interval.bit_count():
+                return False
+    return True
+
+
+def mutated_lattices(l: FaceLattice):
+    """The lattices of l with one face dropped, one face's dimension
+    shifted by one either way, or one mask that is no face of l added
+    at each dimension; a mutant FaceLattice refuses is left out."""
+    faces = list(zip(l.masks, l.dims))
+    inner = range(1, len(faces) - 1)  # the empty face and P stay
+    candidates = [faces[:i] + faces[i + 1:] for i in inner]
+    candidates += [faces[:i] + [(faces[i][0], faces[i][1] + shift)] + faces[i + 1:]
+                   for i in inner for shift in (-1, 1)]
+    rng = random.Random(len(faces))
+    for _ in range(3):
+        mask = rng.randrange(1, 1 << l.n_vertices)
+        if mask not in l.index:
+            candidates += [faces + [(mask, k)] for k in range(l.dim)]
+    for faces in candidates:
+        try:
+            yield FaceLattice(l.dim, faces)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("spec", [spec for spec, d in CORPUS_SPECS.items() if d <= 4])
+def test_is_eulerian_walking_even_intervals_gives_every_intervals_verdict(spec):
+    l = lat(spec)
+    assert ps.is_eulerian(l) and eulerian_by_every_interval(l)
+    for mutant in mutated_lattices(l):
+        assert ps.is_eulerian(mutant) == eulerian_by_every_interval(mutant)
 
 
 def test_deleted_facet_breaks_eulerian():

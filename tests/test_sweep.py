@@ -10,7 +10,7 @@ import polysweep.sweep as sweep_mod
 import polysweep.toric as toric_mod
 import polysweep.truncpartition as partition_mod
 from conftest import (
-    default_direction, eliminated_facets, ladder_slopes, lat, wrong_on_dimension,
+    default_direction, eliminated_facets, height_side, ladder_slopes, lat, wrong_on_dimension,
 )
 from polysweep.cli import main, parse_direction, parse_input
 from polysweep.errors import CrossCheckError, NotGeneric, NotSimple
@@ -19,15 +19,12 @@ from cli_compare import DIRECTIONS as CORPUS_DIRECTIONS
 from test_cli_corpus import SPECS as CORPUS_SPECS
 from polysweep.exactnum import matrix_rank, vsub
 from polysweep.flagvec import CDPolynomial, cd_index
-from polysweep.polytope import facet_hyperplanes, polar_lattice
+from polysweep.polytope import bits, facet_hyperplanes, polar_lattice
 from polysweep.verify import run_verification
 from polysweep.sweep import (
-    MIDDLE,
-    UPPER,
     cd_sweep,
     cd_sweep_symmetric,
     choose_direction,
-    classify_face,
     min_vertex_partition,
     simple_h_by_outdegree,
     support_normal,
@@ -237,19 +234,30 @@ def test_vertex_figure_counts():
             assert q.lattice.n_vertices == len(l.faces_at_vertex(vi, 1))
 
 
+def faces_at(l, vi) -> int:
+    """The mask of the faces at vi of dimension >= 1."""
+    return l.up[l.index[1 << vi]] & ~l.level[0]
+
+
 def test_classify_faces():
     l, s = lat("cross:3"), default_direction("cross:3")
     order = sweep_order(s)
-    bottom, second = order[0], order[1]
-    for fi in range(len(l.masks)):
-        if l.dims[fi] >= 1 and l.masks[fi] >> bottom & 1:
-            assert classify_face(l, s, bottom, fi) == UPPER
-    # the full octahedron crosses the sweep plane at any middle vertex
-    assert classify_face(l, s, second, len(l.masks) - 1) == MIDDLE
-    # an edge is upper at its lower endpoint
-    e = l.faces_at_vertex(second, 1)[0]
-    lo = min(l.vertices_of(e), key=lambda w: s.heights[w])
-    assert classify_face(l, s, lo, e) == UPPER
+    full = len(l.masks) - 1
+    # every face at the lowest vertex rises from it; none at the highest
+    # rises or crosses
+    assert sweep_mod._up_down(l, s, order[0])[3:] == (faces_at(l, order[0]), 0)
+    assert sweep_mod._up_down(l, s, order[-1])[3:] == (0, 0)
+    for vi in order[1:-1]:
+        rising, crossing = sweep_mod._up_down(l, s, vi)[3:]
+        # the full octahedron crosses the sweep plane at any middle
+        # vertex, and no edge does
+        assert crossing >> full & 1 and not crossing & l.level[1]
+        assert not rising & crossing and (rising | crossing) & ~faces_at(l, vi) == 0
+        # an edge rises from its lower end and falls to its upper one
+        for e in l.faces_at_vertex(vi, 1):
+            lo, hi = sorted(l.vertices_of(e), key=s.heights.__getitem__)
+            assert sweep_mod._up_down(l, s, lo)[3] >> e & 1
+            assert not sweep_mod._up_down(l, s, hi)[3] >> e & 1
 
 
 def test_sweep_section_shapes():
@@ -279,7 +287,7 @@ def test_sweep_section_counts_middle_two_faces():
         middles = [
             fi
             for fi in l.faces_at_vertex(vi, 2)
-            if classify_face(l, s, vi, fi) == MIDDLE
+            if height_side(l, s, vi, fi) == "crossing"
         ]
         assert r.lattice.n_vertices == len(middles)
 
@@ -474,7 +482,7 @@ def test_sub_polytope_face_map_order_preserving():
                     fi
                     for k in range(2, l.dim + 1)
                     for fi in l.faces_at_vertex(vi, k)
-                    if classify_face(l, s, vi, fi) == MIDDLE
+                    if height_side(l, s, vi, fi) == "crossing"
                 ]
                 assert sorted(r.face_parent) == sorted([l.index[1 << vi]] + middle)
                 two = [fi for fi in middle if l.dims[fi] == 2]
@@ -665,26 +673,30 @@ def readings_off(l) -> list:
     and cuts they stand for: the figure's cd-index, ``_upper_sum`` with
     every edge up, against the flag route on the star; the upper sum
     against the cut figure's deep-swept parts above v; the section's
-    cd-index, split either way round, against the flag route on the
-    section's lattice.  Empty when all agree."""
+    cd-index against the flag route on the section's lattice, where
+    there is a section: exactly where the polytope is at least a polygon
+    and v has an edge either way.  Empty when all agree."""
     s = ps.choose_direction(None, l.coords)
     reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
     off = []
     for direction in (s, reverse):
         for vi in range(l.n_vertices):
-            up, down, above = sweep_mod._up_down(l, direction, vi)
-            if sweep_mod._upper_sum(l, vi, up | down) != cd_index(sweep_mod._star(l, vi)[0]):
+            up, down, above, rising, crossing = sweep_mod._up_down(l, direction, vi)
+            every = faces_at(l, vi)
+            if sweep_mod._upper_sum(l, vi, every, 0) != cd_index(sweep_mod._star(l, vi)[0]):
                 off.append((vi, "star"))
             if up:
                 q = vertex_figure(l, direction, vi)
                 parts = cd_sweep(q.lattice, q.direction, deep=True)[0]
-                if sweep_mod._upper_sum(l, vi, up) != sum(
+                if sweep_mod._upper_sum(l, vi, rising, crossing) != sum(
                     (parts[j] for j in above), CDPolynomial.zero()
                 ):
                     off.append((vi, "upper"))
-            if l.dim >= 2 and up and down:
-                section = sweep_mod._split_section(l, vi, *sorted((up, down)))[0]
-                if sweep_mod._section_cd(l, vi, up, down) != cd_index(section):
+            if bool(crossing) != bool(l.dim >= 2 and up and down):
+                off.append((vi, "crossing"))
+            if crossing:
+                section = sweep_mod._split_section(l, vi, crossing)[0]
+                if sweep_mod._section_cd(l, crossing) != cd_index(section):
                     off.append((vi, "section"))
     return off
 
@@ -719,11 +731,12 @@ ORDER_FIELDS = ("dim", "masks", "dims", "index", "by_dim", "level", "up", "down"
 
 def read_section(l, s, vi):
     """(lattice, face map) of the section at vi read off the order, the
-    one ``sweep_section`` places; None where it gives None."""
-    up, down, _ = sweep_mod._up_down(l, s, vi)
+    one ``sweep_section`` places; None where it gives None: below
+    dimension 2 and where v has no edge either way."""
+    up, down, _, _, crossing = sweep_mod._up_down(l, s, vi)
     if l.dim < 2 or not (up and down):
         return None
-    return sweep_mod._split_section(l, vi, *sorted((up, down)))
+    return sweep_mod._split_section(l, vi, crossing)
 
 
 def cuts_place_the_read_lattices(l, s, depth) -> int:
@@ -765,15 +778,15 @@ def test_lattices_read_off_the_order_equal_the_cut_ones(spec):
 @pytest.mark.parametrize("spec", ["pyramid:cube:3", "prism:cross:3"])
 def test_verify_reads_each_sub_lattice_once_and_no_cut_builds_one(monkeypatch, spec):
     """Over ``run_verification`` ``_lattice_over`` runs once per star, a
-    (parent, vertex), and once per section, a (parent, vertex, split of
-    the edges at v), called by the two readers alone: a cut only places."""
+    (parent, vertex), and once per section, a (parent, vertex, crossing
+    set), called by the two readers alone: a cut only places."""
     built, real = [], sweep_mod._lattice_over
 
     def counted(lat_, atoms, faces, shift):
         caller = sys._getframe(1)
         faces = list(faces)
         if caller.f_code.co_name == "_split_section":
-            key = (caller.f_locals["vi"], caller.f_locals["one"], caller.f_locals["other"])
+            key = (caller.f_locals["vi"], caller.f_locals["crossing"])
         else:
             key = faces[0]
         built.append((caller.f_code.co_name, lat_, key))
@@ -913,6 +926,40 @@ def test_closed_form_parts_equal_the_cut_figures_parts(case):
     for direction in (s, reverse):
         for sweep in (cd_sweep, ps.toric_sweep):
             assert sweep(l, direction) == sweep(l, direction, deep=True)
+
+
+def min_vertex_blocks(l, s) -> dict:
+    """Oracle for ``min_vertex_partition``: every nonempty face filed
+    under the vertex of least height among its vertices."""
+    blocks = {vi: [] for vi in range(l.n_vertices)}
+    for i in range(len(l.masks)):
+        if l.dims[i] >= 0:
+            blocks[min(l.vertices_of(i), key=s.heights.__getitem__)].append(i)
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_polytopes())
+def test_the_split_at_each_vertex_is_read_off_the_heights(case):
+    """Under s and -s, a face at v of dimension >= 1 is in ``_up_down``'s
+    rising mask exactly when v is its lowest vertex, in its crossing mask
+    exactly when v lies strictly between its lowest and highest vertex,
+    and in neither when v is its highest; and on a simple polytope
+    ``min_vertex_partition`` files every face under its lowest vertex."""
+    l, s = case
+    reverse = ps.choose_direction(tuple(-x for x in s.p), l.coords)
+    for direction in (s, reverse):
+        for vi in range(l.n_vertices):
+            sides = {"rising": 0, "crossing": 0, "falling": 0}
+            for fi in bits(faces_at(l, vi)):
+                sides[height_side(l, direction, vi, fi)] |= 1 << fi
+            rising, crossing = sweep_mod._up_down(l, direction, vi)[3:]
+            assert (rising, crossing) == (sides["rising"], sides["crossing"])
+        if l.is_simple():
+            assert min_vertex_partition(l, direction) == min_vertex_blocks(l, direction)
+        else:
+            with pytest.raises(NotSimple):
+                min_vertex_partition(l, direction)
 
 
 @pytest.mark.parametrize("spec", ["simplex:6", "pyramid:simplex:5"])

@@ -10,7 +10,7 @@ import polysweep.sweep as sweep_mod
 import polysweep.truncpartition as tp
 from cli_compare import DIRECTIONS as CORPUS_DIRECTIONS
 from cli_compare import SPECS as CORPUS_SPECS
-from conftest import default_direction, ladder_slopes, lat
+from conftest import default_direction, height_side, ladder_slopes, lat
 from cut_partition import cut_blocks
 from polysweep.cli import main, parse_direction, parse_input
 from polysweep.errors import CrossCheckError
@@ -80,7 +80,7 @@ def test_top_face_middle_slope_case():
     fi = next(
         f
         for f in pyr.faces_at_vertex(vi, 2)
-        if ps.classify_face(pyr, s, vi, f) == "middle"
+        if height_side(pyr, s, vi, f) == "crossing"
     )
     tau = top_face(pyr, s, (vface, fi))
     beta = bottom_face(pyr, s, (vface, fi))
